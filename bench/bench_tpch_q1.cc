@@ -14,14 +14,19 @@
 //   under ASan (tools/make_golden.py drives both modes).
 //
 //   Benchmark. Default mode times each family over --reps repetitions,
-//   prints CSV, and writes BENCH_tpch.json for tools/bench_compare.py.
+//   prints CSV, and writes BENCH_tpch.json for tools/bench_compare.py: one
+//   row per family at its median rep, with the min/max reps and the
+//   rows_built/rows_scanned one-pass counts as row meta.
 //
 // Paper scale: 100M+ records. Container default: 600k (golden: 200k).
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -113,6 +118,12 @@ std::vector<RunSpec> ValidationRuns(int threads) {
   return runs;
 }
 
+std::string FormatMillis(const BenchTiming& timing) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.3f", timing.millis);
+  return buffer;
+}
+
 std::string ReadFileOrDie(const std::string& path) {
   FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
@@ -146,6 +157,7 @@ int Run(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("records", 600000));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0x11e171));
   const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  MEMAGG_CHECK(reps >= 1 && "--reps must be at least 1");
   const int threads = static_cast<int>(flags.GetInt("threads", 4));
   const std::string write_golden = flags.GetString("write-golden", "");
   const std::string check_golden = flags.GetString("check-golden", "");
@@ -219,6 +231,8 @@ int Run(int argc, char** argv) {
   report.SetParam("threads", static_cast<uint64_t>(threads));
 
   for (const RunSpec& run : runs) {
+    std::vector<BenchTiming> timings;
+    std::vector<TableQueryResult> results;
     for (int rep = 0; rep < reps; ++rep) {
       TableQueryResult result;
       const BenchTiming timing = TimeOnce([&] {
@@ -229,14 +243,30 @@ int Run(int argc, char** argv) {
                   result.group_keys.size(), result.rows_scanned, timing.cycles,
                   timing.millis);
       std::fflush(stdout);
-      if (rep == 0) {
-        report.AddRow(run.series(), records, timing.cycles, timing.millis,
-                      &result.stats);
-        report.SetRowMeta("resolved_label", result.label);
-        report.SetRowMeta("key_width_bits",
-                          std::to_string(result.key_width_bits));
-      }
+      timings.push_back(timing);
+      results.push_back(std::move(result));
     }
+    // The report row is the median rep (the lower middle one for an even
+    // count), with the fastest and slowest reps alongside as its spread.
+    std::vector<size_t> by_time(timings.size());
+    std::iota(by_time.begin(), by_time.end(), size_t{0});
+    std::sort(by_time.begin(), by_time.end(), [&](size_t a, size_t b) {
+      return timings[a].millis < timings[b].millis;
+    });
+    const size_t median = by_time[(by_time.size() - 1) / 2];
+    const TableQueryResult& result = results[median];
+    report.AddRow(run.series(), records, timings[median].cycles,
+                  timings[median].millis, &result.stats);
+    report.SetRowMeta("resolved_label", result.label);
+    report.SetRowMeta("key_width_bits", std::to_string(result.key_width_bits));
+    report.SetRowMeta("reps", std::to_string(reps));
+    report.SetRowMeta("millis_min", FormatMillis(timings[by_time.front()]));
+    report.SetRowMeta("millis_max", FormatMillis(timings[by_time.back()]));
+    // One-pass property: every scanned row is built exactly once
+    // (tools/bench_compare.py --one-pass-gate).
+    report.SetRowMeta("rows_built", std::to_string(result.stats.Get(
+                                        StatCounter::kRowsBuilt)));
+    report.SetRowMeta("rows_scanned", std::to_string(result.rows_scanned));
   }
   report.WriteFile();
   return 0;

@@ -149,8 +149,11 @@ class AdaptiveAggregator final : public VectorAggregator {
       requires(uint64_t* v, size_t c) { Aggregate::FinalizeRun(v, c); };
 
   AdaptiveAggregator(size_t expected_size, ExecutionContext exec,
-                     AdaptiveOptions options = {})
-      : exec_(exec), opt_(options), expected_size_(expected_size) {
+                     AdaptiveOptions options = {}, Aggregate agg = {})
+      : agg_(std::move(agg)),
+        exec_(exec),
+        opt_(options),
+        expected_size_(expected_size) {
     if (opt_.l3_bytes == 0) opt_.l3_bytes = DetectedL3CacheBytes();
     // Calibration aid (docs/adaptive.md): log every barrier decision.
     debug_ = std::getenv("MEMAGG_ADAPTIVE_DEBUG") != nullptr;
@@ -271,7 +274,8 @@ class AdaptiveAggregator final : public VectorAggregator {
       case AggStrategy::kSerialHash: {
         MEMAGG_CHECK(workers == 1);
         auto op = std::make_unique<
-            HashVectorAggregator<LinearProbingMap, Aggregate>>(expected_groups);
+            HashVectorAggregator<LinearProbingMap, Aggregate>>(expected_groups,
+                                                               agg_);
         mig_ = op.get();
         op_ = std::move(op);
         break;
@@ -281,21 +285,22 @@ class AdaptiveAggregator final : public VectorAggregator {
         auto op = std::make_unique<LocalPartitionAggregator<Aggregate>>(
             expected_groups, exec_,
             strategy == AggStrategy::kLocalTree ? LocalMergeMode::kTree
-                                                : LocalMergeMode::kCentral);
+                                                : LocalMergeMode::kCentral,
+            agg_);
         mig_ = op.get();
         op_ = std::move(op);
         break;
       }
       case AggStrategy::kRadix: {
         auto op = std::make_unique<RadixPartitionAggregator<Aggregate>>(
-            expected_groups, exec_);
+            expected_groups, exec_, agg_);
         mig_ = op.get();
         op_ = std::move(op);
         break;
       }
       case AggStrategy::kSharedMap: {
         auto op = std::make_unique<StripedParallelAggregator<Aggregate>>(
-            expected_groups, exec_);
+            expected_groups, exec_, agg_);
         mig_ = op.get();
         op_ = std::move(op);
         break;
@@ -304,7 +309,8 @@ class AdaptiveAggregator final : public VectorAggregator {
         BlockIndirectSorter sorter;
         sorter.num_threads = exec_.num_threads;
         auto op = std::make_unique<
-            SortVectorAggregator<BlockIndirectSorter, Aggregate>>(sorter);
+            SortVectorAggregator<BlockIndirectSorter, Aggregate>>(sorter,
+                                                                  agg_);
         mig_ = op.get();
         op_ = std::move(op);
         break;
@@ -426,6 +432,7 @@ class AdaptiveAggregator final : public VectorAggregator {
     trace_ += std::to_string(moved);
   }
 
+  [[no_unique_address]] Aggregate agg_;
   ExecutionContext exec_;
   AdaptiveOptions opt_;
   size_t expected_size_;

@@ -10,18 +10,26 @@
 //     hash/tree operators must buffer all values per group and sort-based
 //     operators aggregate over contiguous runs.
 //
-// Each aggregate is a policy struct with a per-group State, an Update step
-// applied during the build phase, and a Finalize step applied during the
-// iterate phase. The aggregation operators are templated on these policies.
+// Each aggregate is a policy with a per-group State, an Update step applied
+// during the build phase, and a Finalize step applied during the iterate
+// phase. The aggregation operators are templated on these policies and hold
+// one policy object: the single-function policies below are empty structs,
+// while RowAggregate carries the layout of a whole query's aggregates, so
+// one build computes them all (one state row per group).
 
 #ifndef MEMAGG_CORE_AGGREGATE_H_
 #define MEMAGG_CORE_AGGREGATE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/concepts.h"
+#include "core/result.h"
+#include "util/encoded_key.h"
 #include "util/macros.h"
 
 namespace memagg {
@@ -257,6 +265,219 @@ struct ModeAggregate {
     return static_cast<double>(best);
   }
 };
+
+// --- Row aggregate ----------------------------------------------------------
+
+/// The aggregates of one query compiled into a single per-group state row:
+/// slot 0 counts the group's rows, then one slot per distinct SUM/AVG
+/// measure (AVG divides it by the count slot), then one per distinct MAX or
+/// MIN measure (MIN stored complemented, so both fold with max and start at
+/// 0).
+/// MEDIAN and MODE keep the group's input row numbers and read their values
+/// at finalize. The operators feed a row number h per record as its
+/// "value", and each measure is read in place at measure[h].
+class AggregateRow {
+ public:
+  /// Appends the output AGG(measure); `measure` is nullptr for COUNT.
+  /// Outputs naming the same measure pointer share its slot.
+  void Add(AggregateFunction function, const uint64_t* measure) {
+    Output out{function, measure, 0};
+    switch (function) {
+      case AggregateFunction::kCount:
+        break;
+      case AggregateFunction::kSum:
+      case AggregateFunction::kAverage:
+        out.index = SlotFor(&sums_, measure);
+        break;
+      case AggregateFunction::kMin:
+        out.index = SlotFor(&mins_, measure);
+        break;
+      case AggregateFunction::kMax:
+        out.index = SlotFor(&maxes_, measure);
+        break;
+      case AggregateFunction::kMedian:
+      case AggregateFunction::kMode:
+        holistic_ = true;
+        break;
+    }
+    outputs_.push_back(out);
+    sources_.clear();
+    flips_.clear();
+    for (const uint64_t* m : sums_) AddSource(m, 0);
+    for (const uint64_t* m : maxes_) AddSource(m, 0);
+    for (const uint64_t* m : mins_) AddSource(m, ~0ULL);
+  }
+
+  size_t num_outputs() const { return outputs_.size(); }
+  AggregateFunction function(size_t output) const {
+    return outputs_[output].function;
+  }
+  const uint64_t* measure(size_t output) const {
+    return outputs_[output].measure;
+  }
+  /// Distinct SUM/AVG measures: slots 1 .. num_sums() fold by addition like
+  /// the count slot; the remaining slots fold by max.
+  size_t num_sums() const { return sums_.size(); }
+  /// Count slot plus one slot per distinct SUM/AVG, MAX and MIN measure.
+  size_t num_slots() const { return 1 + sources_.size(); }
+  /// True if some output is MEDIAN or MODE (states keep row numbers).
+  bool holistic() const { return holistic_; }
+
+  /// Folds input row `row` into `slots`.
+  void Update(uint64_t* slots, uint64_t row) const {
+    ++slots[0];
+    const size_t sums = sums_.size();
+    for (size_t i = 0; i < sums; ++i) slots[1 + i] += sources_[i][row];
+    for (size_t i = sums; i < sources_.size(); ++i) {
+      slots[1 + i] = std::max(slots[1 + i], sources_[i][row] ^ flips_[i]);
+    }
+  }
+
+  void Merge(uint64_t* into, const uint64_t* from) const {
+    const size_t additive = 1 + num_sums();
+    for (size_t i = 0; i < additive; ++i) into[i] += from[i];
+    for (size_t i = additive; i < num_slots(); ++i) {
+      into[i] = std::max(into[i], from[i]);
+    }
+  }
+
+  /// Appends one entry per output, in Add order, for group `key`. `rows`
+  /// holds the group's row numbers (holistic rows only; reordered).
+  void Emit(VectorResult& out, EncodedKey key, const uint64_t* slots,
+            std::vector<uint64_t>& rows) const {
+    std::vector<uint64_t> values;
+    for (const Output& o : outputs_) {
+      double value = 0.0;
+      switch (o.function) {
+        case AggregateFunction::kCount:
+          value = static_cast<double>(slots[0]);
+          break;
+        case AggregateFunction::kSum:
+          value = static_cast<double>(slots[1 + o.index]);
+          break;
+        case AggregateFunction::kAverage:
+          value = static_cast<double>(slots[1 + o.index]) /
+                  static_cast<double>(slots[0]);
+          break;
+        case AggregateFunction::kMax:
+          value = static_cast<double>(slots[1 + sums_.size() + o.index]);
+          break;
+        case AggregateFunction::kMin:
+          value = static_cast<double>(
+              ~slots[1 + sums_.size() + maxes_.size() + o.index]);
+          break;
+        case AggregateFunction::kMedian:
+        case AggregateFunction::kMode:
+          values.resize(rows.size());
+          for (size_t i = 0; i < rows.size(); ++i) {
+            values[i] = o.measure[rows[i]];
+          }
+          value = o.function == AggregateFunction::kMedian
+                      ? MedianOfRun(values.data(), values.size())
+                      : ModeAggregate::FinalizeRun(values.data(),
+                                                   values.size());
+          break;
+      }
+      out.push_back({key, value});
+    }
+  }
+
+ private:
+  struct Output {
+    AggregateFunction function;
+    const uint64_t* measure;
+    uint32_t index;  ///< Position among the slots of its kind.
+  };
+
+  static uint32_t SlotFor(std::vector<const uint64_t*>* kind,
+                          const uint64_t* measure) {
+    for (size_t i = 0; i < kind->size(); ++i) {
+      if ((*kind)[i] == measure) return static_cast<uint32_t>(i);
+    }
+    kind->push_back(measure);
+    return static_cast<uint32_t>(kind->size() - 1);
+  }
+
+  void AddSource(const uint64_t* measure, uint64_t flip) {
+    sources_.push_back(measure);
+    flips_.push_back(flip);
+  }
+
+  bool holistic_ = false;
+  std::vector<Output> outputs_;
+  std::vector<const uint64_t*> sums_, maxes_, mins_;
+  // Slot i + 1 reads sources_[i] (sums, then maxes, then mins) and folds
+  // the value XOR flips_[i] (~0 complements a MIN measure).
+  std::vector<const uint64_t*> sources_;
+  std::vector<uint64_t> flips_;
+};
+
+/// Largest AggregateRow::num_slots() an operator can hold.
+inline constexpr size_t kMaxRowSlots = 16;
+
+/// The row policy: every operator family instantiated at it builds once per
+/// query and updates all slots of the row on a single probe, insert or
+/// sorted run. State holds `kSlots` slots (and, when `kHolistic`, the
+/// group's row numbers). The policy object points at the query's
+/// AggregateRow, which must outlive the operator. Iterate emits
+/// row->num_outputs() consecutive entries per group.
+template <size_t kSlots, bool kHolistic>
+class RowAggregate {
+ public:
+  struct SlotState {
+    uint64_t slots[kSlots] = {};
+  };
+  struct BufferState {
+    uint64_t slots[kSlots] = {};
+    std::vector<uint64_t> rows;
+  };
+  using State = std::conditional_t<kHolistic, BufferState, SlotState>;
+  static constexpr bool kNeedsValues = true;
+
+  RowAggregate() = default;
+  explicit RowAggregate(const AggregateRow* row) : row_(row) {
+    MEMAGG_CHECK(row->num_slots() <= kSlots && row->holistic() == kHolistic &&
+                 "row layout does not fit this RowAggregate instantiation");
+  }
+
+  const AggregateRow& row() const { return *row_; }
+
+  void Update(State& state, uint64_t row) const {
+    row_->Update(state.slots, row);
+    if constexpr (kHolistic) state.rows.push_back(row);
+  }
+
+  void Merge(State& into, State& from) const {
+    row_->Merge(into.slots, from.slots);
+    if constexpr (kHolistic) {
+      into.rows.insert(into.rows.end(), from.rows.begin(), from.rows.end());
+    }
+  }
+
+  void Emit(VectorResult& out, EncodedKey key, State& state) const {
+    if constexpr (kHolistic) {
+      row_->Emit(out, key, state.slots, state.rows);
+    } else {
+      std::vector<uint64_t> no_rows;
+      row_->Emit(out, key, state.slots, no_rows);
+    }
+  }
+
+ private:
+  const AggregateRow* row_ = nullptr;
+};
+
+/// Appends group `key`'s output to `out`: one entry for the single-function
+/// policies, one per output for a row policy.
+template <AggregatePolicy Aggregate>
+void EmitGroup(const Aggregate& agg, VectorResult& out, EncodedKey key,
+               typename Aggregate::State& state) {
+  if constexpr (requires { agg.Emit(out, key, state); }) {
+    agg.Emit(out, key, state);
+  } else {
+    out.push_back({key, agg.Finalize(state)});
+  }
+}
 
 }  // namespace memagg
 

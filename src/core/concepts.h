@@ -146,22 +146,30 @@ concept ConcurrentGroupMap =
 
 // --- Aggregate function policies --------------------------------------------
 
-/// Aggregate-function policy role (core/aggregate.h): a default-initializable
-/// per-group State, an Update step folding one record into it, a Finalize
-/// step producing the output value, and the kNeedsValues flag that lets
-/// COUNT(*) skip the value column entirely.
+/// Aggregate-function policy role (core/aggregate.h): a copyable policy
+/// object (operators hold one and call through it, so a policy may carry
+/// query state such as RowAggregate's layout), a default-initializable
+/// per-group State, an Update step folding one record into it, and either a
+/// Finalize step producing one output value or an Emit step appending a
+/// group's output entries (EmitGroup). kNeedsValues lets COUNT(*) skip the
+/// value column entirely.
 ///
 /// Note: the *runtime* identifier for an aggregate is the AggregateFunction
 /// enum (core/aggregate.h); this concept is the compile-time policy those
 /// enum values dispatch to.
 template <typename A>
 concept AggregatePolicy =
+    std::copy_constructible<A> &&
     std::default_initializable<typename A::State> &&
-    requires(typename A::State& state, uint64_t value) {
+    requires(const A& agg, typename A::State& state, uint64_t value) {
       { A::kNeedsValues } -> std::convertible_to<bool>;
-      A::Update(state, value);
-      { A::Finalize(state) } -> std::convertible_to<double>;
-    };
+      agg.Update(state, value);
+    } &&
+    (requires(const A& agg, typename A::State& state) {
+      { agg.Finalize(state) } -> std::convertible_to<double>;
+    } ||
+     requires(const A& agg, typename A::State& state, VectorResult& out,
+              EncodedKey key) { agg.Emit(out, key, state); });
 
 /// Aggregates usable by partitioned operators, which must combine partial
 /// per-partition/per-thread states (Gray et al.'s distributive/algebraic
@@ -169,8 +177,8 @@ concept AggregatePolicy =
 template <typename A>
 concept MergeableAggregatePolicy =
     AggregatePolicy<A> &&
-    requires(typename A::State& into, typename A::State& from) {
-      A::Merge(into, from);
+    requires(const A& agg, typename A::State& into, typename A::State& from) {
+      agg.Merge(into, from);
     };
 
 // --- Sort kernels -----------------------------------------------------------

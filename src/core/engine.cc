@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <numeric>
+
 #include "core/adaptive_aggregator.h"
 #include "core/advisor.h"
 #include "core/concepts.h"
@@ -29,149 +31,192 @@
 namespace memagg {
 namespace {
 
+/// `expected_size` sizes the structures; `max_groups` (an upper bound on
+/// the groups, e.g. the row count) sizes those that cannot grow.
 template <MergeableAggregatePolicy Aggregate>
 std::unique_ptr<VectorAggregator> MakeForAggregate(
-    const std::string& label, size_t expected_size,
-    const ExecutionContext& exec) {
+    const std::string& label, size_t expected_size, size_t max_groups,
+    const ExecutionContext& exec, const Aggregate& agg = {}) {
   const int num_threads = exec.num_threads;
   // --- Hash-based (Table 3 / Table 8) ---
   if (label == "Hash_LP") {
     MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<LinearProbingMap, Aggregate>>(
-        expected_size);
+        expected_size, agg);
   }
   if (label == "Hash_SC") {
     MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<ChainingMap, Aggregate>>(
-        expected_size);
+        expected_size, agg);
   }
   if (label == "Hash_SC_Global") {
     // Allocator-ablation twin of Hash_SC: identical chaining table, nodes
     // from global operator new instead of the arena pool (docs/memory.md).
     MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<
-        HashVectorAggregator<ChainingMapGlobalNew, Aggregate>>(expected_size);
+        HashVectorAggregator<ChainingMapGlobalNew, Aggregate>>(expected_size,
+                                                               agg);
   }
   if (label == "Hash_Sparse") {
     MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<SparseMap, Aggregate>>(
-        expected_size);
+        expected_size, agg);
   }
   if (label == "Hash_Dense") {
     MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<DenseMap, Aggregate>>(
-        expected_size);
+        expected_size, agg);
   }
   if (label == "Hash_LC") {
     if (num_threads == 1) {
       return std::make_unique<HashVectorAggregator<CuckooMap, Aggregate>>(
-          expected_size);
+          expected_size, agg);
     }
     return std::make_unique<CuckooParallelAggregator<Aggregate>>(
-        expected_size, exec);
+        expected_size, exec, agg);
   }
   if (label == "Hash_TBBSC") {
+    // Its bucket array never grows, and a sampled estimate can fall several
+    // times short: size it from the upper bound.
     using Concurrent = typename ConcurrentAggregateFor<Aggregate>::type;
+    Concurrent concurrent;
+    if constexpr (std::constructible_from<Concurrent, const Aggregate&>) {
+      concurrent = Concurrent(agg);
+    }
     return std::make_unique<TbbStyleParallelAggregator<Concurrent>>(
-        expected_size, exec);
+        max_groups, exec, concurrent);
   }
 
   // --- Extensions beyond the paper's Table 3 ---
   if (label == "Adaptive") {
-    return std::make_unique<AdaptiveAggregator<Aggregate>>(expected_size,
-                                                           exec);
+    return std::make_unique<AdaptiveAggregator<Aggregate>>(
+        expected_size, exec, AdaptiveOptions{}, agg);
   }
   if (label == "Hybrid") {
-    return std::make_unique<HybridVectorAggregator<Aggregate>>(expected_size,
-                                                               exec);
+    return std::make_unique<HybridVectorAggregator<Aggregate>>(
+        expected_size, exec, HybridVectorAggregator<Aggregate>::kMaxHashGroups,
+        agg);
   }
   if (label == "Hash_PLocal") {
     return std::make_unique<LocalPartitionAggregator<Aggregate>>(
-        expected_size, exec);
+        expected_size, exec, LocalMergeMode::kCentral, agg);
   }
   if (label == "Hash_Striped") {
     return std::make_unique<StripedParallelAggregator<Aggregate>>(
-        expected_size, exec);
+        expected_size, exec, agg);
   }
   if (label == "Hash_PRadix") {
     return std::make_unique<RadixPartitionAggregator<Aggregate>>(
-        expected_size, exec);
+        expected_size, exec, agg);
   }
   if (label == "Hash_MPH") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<MphVectorAggregator<Aggregate>>(expected_size);
+    return std::make_unique<MphVectorAggregator<Aggregate>>(expected_size,
+                                                            agg);
   }
 
   // --- Tree-based (Table 3) ---
   if (label == "ART") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>();
+    return std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>(agg);
   }
   if (label == "ART_Global") {
     // Allocator-ablation twin of ART (see Hash_SC_Global above).
     MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<
-        TreeVectorAggregator<ArtTreeGlobalNew, Aggregate>>();
+        TreeVectorAggregator<ArtTreeGlobalNew, Aggregate>>(agg);
   }
   if (label == "Judy") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<JudyArray, Aggregate>>();
+    return std::make_unique<TreeVectorAggregator<JudyArray, Aggregate>>(agg);
   }
   if (label == "Btree") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<BTree, Aggregate>>();
+    return std::make_unique<TreeVectorAggregator<BTree, Aggregate>>(agg);
   }
   if (label == "Ttree") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<TreeVectorAggregator<TTree, Aggregate>>();
+    return std::make_unique<TreeVectorAggregator<TTree, Aggregate>>(agg);
   }
 
   // --- Sort-based (Table 3 / Table 8 / microbenchmarks) ---
   if (label == "Introsort") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        SortVectorAggregator<IntrosortSorter, Aggregate>>();
+    return std::make_unique<SortVectorAggregator<IntrosortSorter, Aggregate>>(
+        IntrosortSorter{}, agg);
   }
   if (label == "Spreadsort") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        SortVectorAggregator<SpreadsortSorter, Aggregate>>();
+    return std::make_unique<SortVectorAggregator<SpreadsortSorter, Aggregate>>(
+        SpreadsortSorter{}, agg);
   }
   if (label == "Quicksort") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<
-        SortVectorAggregator<QuicksortSorter, Aggregate>>();
+    return std::make_unique<SortVectorAggregator<QuicksortSorter, Aggregate>>(
+        QuicksortSorter{}, agg);
   }
   if (label == "Sort_MSBRadix") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<SortVectorAggregator<MsbRadixSorter, Aggregate>>();
+    return std::make_unique<SortVectorAggregator<MsbRadixSorter, Aggregate>>(
+        MsbRadixSorter{}, agg);
   }
   if (label == "Sort_LSBRadix") {
     MEMAGG_CHECK(num_threads == 1);
-    return std::make_unique<SortVectorAggregator<LsbRadixSorter, Aggregate>>();
+    return std::make_unique<SortVectorAggregator<LsbRadixSorter, Aggregate>>(
+        LsbRadixSorter{}, agg);
   }
   if (label == "Sort_QSLB") {
     return std::make_unique<
         SortVectorAggregator<ParallelQuicksortSorter, Aggregate>>(
-        ParallelQuicksortSorter{num_threads});
+        ParallelQuicksortSorter{num_threads}, agg);
   }
   if (label == "Sort_BI") {
     return std::make_unique<
         SortVectorAggregator<BlockIndirectSorter, Aggregate>>(
-        BlockIndirectSorter{num_threads});
+        BlockIndirectSorter{num_threads}, agg);
   }
   if (label == "Sort_SS") {
     return std::make_unique<
         SortVectorAggregator<SamplesortSorter, Aggregate>>(
-        SamplesortSorter{num_threads});
+        SamplesortSorter{num_threads}, agg);
   }
   if (label == "Sort_TBB") {
     return std::make_unique<
         SortVectorAggregator<TaskQuicksortSorter, Aggregate>>(
-        TaskQuicksortSorter{num_threads});
+        TaskQuicksortSorter{num_threads}, agg);
   }
 
   std::fprintf(stderr, "Unknown algorithm label: %s\n", label.c_str());
+  MEMAGG_CHECK(false);
+  return nullptr;
+}
+
+std::unique_ptr<VectorAggregator> MakeForFunction(
+    const std::string& label, AggregateFunction function, size_t expected_size,
+    size_t max_groups, const ExecutionContext& exec) {
+  switch (function) {
+    case AggregateFunction::kCount:
+      return MakeForAggregate<CountAggregate>(label, expected_size,
+                                              max_groups, exec);
+    case AggregateFunction::kSum:
+      return MakeForAggregate<SumAggregate>(label, expected_size,
+                                            max_groups, exec);
+    case AggregateFunction::kMin:
+      return MakeForAggregate<MinAggregate>(label, expected_size,
+                                            max_groups, exec);
+    case AggregateFunction::kMax:
+      return MakeForAggregate<MaxAggregate>(label, expected_size,
+                                            max_groups, exec);
+    case AggregateFunction::kAverage:
+      return MakeForAggregate<AverageAggregate>(label, expected_size,
+                                                max_groups, exec);
+    case AggregateFunction::kMedian:
+      return MakeForAggregate<MedianAggregate>(label, expected_size,
+                                               max_groups, exec);
+    case AggregateFunction::kMode:
+      return MakeForAggregate<ModeAggregate>(label, expected_size,
+                                             max_groups, exec);
+  }
   MEMAGG_CHECK(false);
   return nullptr;
 }
@@ -225,32 +270,35 @@ const std::vector<std::string>& ScalarCapableLabels() {
 std::unique_ptr<VectorAggregator> MakeVectorAggregator(
     const std::string& label, AggregateFunction function, size_t expected_size,
     const ExecutionContext& exec) {
-  switch (function) {
-    case AggregateFunction::kCount:
-      return MakeForAggregate<CountAggregate>(label, expected_size, exec);
-    case AggregateFunction::kSum:
-      return MakeForAggregate<SumAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMin:
-      return MakeForAggregate<MinAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMax:
-      return MakeForAggregate<MaxAggregate>(label, expected_size, exec);
-    case AggregateFunction::kAverage:
-      return MakeForAggregate<AverageAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMedian:
-      return MakeForAggregate<MedianAggregate>(label, expected_size, exec);
-    case AggregateFunction::kMode:
-      return MakeForAggregate<ModeAggregate>(label, expected_size, exec);
-  }
-  MEMAGG_CHECK(false);
-  return nullptr;
+  return MakeForFunction(label, function, expected_size, expected_size, exec);
 }
 
-VectorQueryExecution ExecuteVectorQuery(const std::string& label,
-                                        AggregateFunction function,
-                                        const uint64_t* keys,
-                                        const uint64_t* values, size_t n,
-                                        size_t expected_size,
-                                        ExecutionContext exec) {
+namespace {
+
+/// The family for `label` at the row policy for `row`. Its Iterate emits
+/// row.num_outputs() consecutive entries per group; `row` must outlive it.
+std::unique_ptr<VectorAggregator> MakeRowAggregator(
+    const std::string& label, const AggregateRow& row, size_t expected_size,
+    size_t max_groups, const ExecutionContext& exec) {
+  MEMAGG_CHECK(row.num_slots() <= kMaxRowSlots &&
+               "a query's aggregates need more state slots than a row holds");
+  if (row.holistic()) {
+    return MakeForAggregate(label, expected_size, max_groups, exec,
+                            RowAggregate<kMaxRowSlots, true>(&row));
+  }
+  return MakeForAggregate(label, expected_size, max_groups, exec,
+                          RowAggregate<kMaxRowSlots, false>(&row));
+}
+
+/// Builds and iterates the operator `make` constructs, with the engine's
+/// phase clocks and stats. `make` runs once the query-local stats registry
+/// and worker arenas are in place; `outputs` is the number of result
+/// entries per group.
+template <typename Make>
+VectorQueryExecution RunQuery(const Make& make, const uint64_t* keys,
+                              const uint64_t* values, size_t n,
+                              size_t estimated_groups, size_t outputs,
+                              ExecutionContext exec) {
   StatsRegistry local_registry(exec.num_threads);
   if (exec.stats == nullptr) exec.stats = &local_registry;
   // Query-local per-worker arenas: parallel operators allocate their nodes
@@ -259,10 +307,10 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
   // whose nodes live in it).
   WorkerArenas local_arenas(exec.num_threads);
   if (exec.arenas == nullptr) exec.arenas = &local_arenas;
-  auto aggregator = MakeVectorAggregator(label, function, expected_size, exec);
+  std::unique_ptr<VectorAggregator> aggregator = make(exec);
   // Pre-size growable tables from a sampled cardinality estimate; the
   // sampling cost stays outside the timed build phase.
-  aggregator->ReserveGroups(EstimateGroupCardinality(keys, n));
+  aggregator->ReserveGroups(estimated_groups);
 
   VectorQueryExecution execution;
   // The end-to-end build/iterate clocks are the bench contract, not
@@ -287,7 +335,8 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
   }
   if (StatsConfig::kEnabled) {
     execution.stats.Add(StatCounter::kRowsBuilt, n);
-    execution.stats.Add(StatCounter::kGroupsOut, execution.result.size());
+    execution.stats.Add(StatCounter::kGroupsOut,
+                        execution.result.size() / outputs);
     aggregator->CollectStats(&execution.stats);
     // Context-owned worker arenas are reported here, once per query;
     // operators report only the allocators they own (see mem/allocator.h).
@@ -295,6 +344,58 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
     execution.stats.Merge(exec.stats->Collect());
   }
   return execution;
+}
+
+}  // namespace
+
+VectorQueryExecution ExecuteVectorQuery(const std::string& label,
+                                        AggregateFunction function,
+                                        const uint64_t* keys,
+                                        const uint64_t* values, size_t n,
+                                        size_t expected_size,
+                                        ExecutionContext exec) {
+  return RunQuery(
+      [&](const ExecutionContext& ctx) {
+        return MakeVectorAggregator(label, function, expected_size, ctx);
+      },
+      keys, values, n, EstimateGroupCardinality(keys, n), 1, exec);
+}
+
+VectorQueryExecution ExecuteRowQuery(const std::string& label,
+                                     const AggregateRow& row,
+                                     const uint64_t* keys,
+                                     const uint64_t* rows, size_t n,
+                                     ExecutionContext exec) {
+  MEMAGG_CHECK(row.num_outputs() > 0);
+  // Growable structures start at the sampled estimate; the row count bounds
+  // the groups for those that cannot grow.
+  const size_t estimated = EstimateGroupCardinality(keys, n);
+  if (row.num_outputs() == 1) {
+    const AggregateFunction function = row.function(0);
+    const uint64_t* values = row.measure(0);
+    std::vector<uint64_t> gathered;
+    if (values != nullptr && rows != nullptr) {
+      gathered.resize(n);
+      for (size_t i = 0; i < n; ++i) gathered[i] = values[rows[i]];
+      values = gathered.data();
+    }
+    return RunQuery(
+        [&](const ExecutionContext& ctx) {
+          return MakeForFunction(label, function, estimated, n, ctx);
+        },
+        keys, values, n, estimated, 1, exec);
+  }
+  std::vector<uint64_t> identity;
+  if (rows == nullptr) {
+    identity.resize(n);
+    std::iota(identity.begin(), identity.end(), uint64_t{0});
+    rows = identity.data();
+  }
+  return RunQuery(
+      [&](const ExecutionContext& ctx) {
+        return MakeRowAggregator(label, row, estimated, n, ctx);
+      },
+      keys, rows, n, estimated, row.num_outputs(), exec);
 }
 
 std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(

@@ -81,6 +81,24 @@ VectorQueryExecution ExecuteVectorQuery(const std::string& label,
                                         size_t expected_size,
                                         ExecutionContext exec = {});
 
+/// Runs every aggregate of `row` over `n` keys in one build (one pass over
+/// the keys, kRowsBuilt == n): the family for `label` instantiated at the
+/// row policy (RowAggregate, core/aggregate.h), fed one row number per
+/// record as its value column. `row` must have at most kMaxRowSlots state
+/// slots. Record i's measures are read at row number
+/// rows[i] (rows == nullptr: row i), in place — no measure column is copied
+/// except for a one-output row: that one runs the single-function policy,
+/// which reads its values contiguously. The result holds
+/// row.num_outputs() consecutive entries per group, in the row's Add
+/// order. Growable structures are constructed at the sampled group estimate
+/// (EstimateGroupCardinality); structures that cannot grow (Hash_TBBSC's
+/// bucket array) at `n`.
+VectorQueryExecution ExecuteRowQuery(const std::string& label,
+                                     const AggregateRow& row,
+                                     const uint64_t* keys,
+                                     const uint64_t* rows, size_t n,
+                                     ExecutionContext exec = {});
+
 }  // namespace memagg
 
 #endif  // MEMAGG_CORE_ENGINE_H_

@@ -39,7 +39,8 @@ class HashVectorAggregator final : public VectorAggregator,
   /// `expected_size` pre-sizes the table. The paper assumes only the dataset
   /// size is known (cardinality estimation is unreliable), so callers pass
   /// the record count.
-  explicit HashVectorAggregator(size_t expected_size) : map_(expected_size) {}
+  explicit HashVectorAggregator(size_t expected_size, Aggregate agg = {})
+      : agg_(std::move(agg)), map_(expected_size) {}
 
   void ReserveGroups(size_t expected_groups) override {
     // GroupMap guarantees Reserve, so no feature probe is needed.
@@ -50,11 +51,11 @@ class HashVectorAggregator final : public VectorAggregator,
              size_t n) override {
     if constexpr (Aggregate::kNeedsValues) {
       for (size_t i = 0; i < n; ++i) {
-        Aggregate::Update(map_.GetOrInsert(keys[i]), values[i]);
+        agg_.Update(map_.GetOrInsert(keys[i]), values[i]);
       }
     } else {
       for (size_t i = 0; i < n; ++i) {
-        Aggregate::Update(map_.GetOrInsert(keys[i]), 0);
+        agg_.Update(map_.GetOrInsert(keys[i]), 0);
       }
     }
   }
@@ -62,10 +63,10 @@ class HashVectorAggregator final : public VectorAggregator,
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
       // Holistic finalizers reorder their buffered values in place; the
       // entries are not actually const.
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+      EmitGroup(agg_, result, key, const_cast<State&>(state));
     });
     return result;
   }
@@ -99,13 +100,13 @@ class HashVectorAggregator final : public VectorAggregator,
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
       if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(map_.GetOrInsert(key), state);
+        agg_.Merge(map_.GetOrInsert(key), state);
       } else {
         MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
       }
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(map_.GetOrInsert(key), value);
+      agg_.Update(map_.GetOrInsert(key), value);
     }
     rows_consumed_ += partial.rows;
   }
@@ -144,6 +145,7 @@ class HashVectorAggregator final : public VectorAggregator,
   MapT<State>& map() { return map_; }
 
  private:
+  [[no_unique_address]] Aggregate agg_;
   MapT<State> map_;
   uint64_t rows_consumed_ = 0;  ///< Morsel-path rows (Progress reporting).
 };

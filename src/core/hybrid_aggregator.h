@@ -47,19 +47,24 @@ class HybridVectorAggregator final : public VectorAggregator {
  public:
   using State = typename Aggregate::State;
 
+  /// Default switch threshold: keeps the table inside a ~1 MB L2 cache
+  /// (16-byte slots at 70% load).
+  static constexpr size_t kMaxHashGroups = 44000;
+
   /// `max_hash_groups` is the switch threshold: once the hash table holds
-  /// this many groups the operator flushes to sort mode. The default keeps
-  /// the table inside a ~1 MB L2 cache (16-byte slots at 70% load).
+  /// this many groups the operator flushes to sort mode.
   explicit HybridVectorAggregator(size_t expected_size = 0,
-                                  size_t max_hash_groups = 44000)
+                                  size_t max_hash_groups = kMaxHashGroups)
       : HybridVectorAggregator(expected_size, ExecutionContext{},
                                max_hash_groups) {}
 
   /// With `exec.num_threads > 1` the sort-mode final sort runs on the
   /// morsel executor (Sort_BI); the hash phase stays serial.
   HybridVectorAggregator(size_t /*expected_size*/, ExecutionContext exec,
-                         size_t max_hash_groups = 44000)
-      : exec_(exec),
+                         size_t max_hash_groups = kMaxHashGroups,
+                         Aggregate agg = {})
+      : agg_(std::move(agg)),
+        exec_(exec),
         max_hash_groups_(max_hash_groups),
         map_(2 * max_hash_groups) {}
 
@@ -69,7 +74,7 @@ class HybridVectorAggregator final : public VectorAggregator {
       const uint64_t value =
           Aggregate::kNeedsValues && values != nullptr ? values[i] : 0;
       if (!sort_mode_) {
-        Aggregate::Update(map_.GetOrInsert(keys[i]), value);
+        agg_.Update(map_.GetOrInsert(keys[i]), value);
         if (MEMAGG_UNLIKELY(map_.size() > max_hash_groups_)) {
           SwitchToSortMode();
         }
@@ -84,9 +89,8 @@ class HybridVectorAggregator final : public VectorAggregator {
       // Pure hashing: the low-cardinality fast path.
       VectorResult result;
       result.reserve(map_.size());
-      map_.ForEach([&result](EncodedKey key, const State& state) {
-        result.push_back(
-            {key, Aggregate::Finalize(const_cast<State&>(state))});
+      map_.ForEach([this, &result](EncodedKey key, const State& state) {
+        EmitGroup(agg_, result, key, const_cast<State&>(state));
       });
       return result;
     }
@@ -206,9 +210,8 @@ class HybridVectorAggregator final : public VectorAggregator {
       auto emit_partials_below = [&](uint64_t bound) {
         while (partial_at < partials_.size() &&
                partials_[partial_at].key < bound) {
-          result.push_back(
-              {partials_[partial_at].key,
-               Aggregate::Finalize(partials_[partial_at].state)});
+          EmitGroup(agg_, result, partials_[partial_at].key,
+                    partials_[partial_at].state);
           ++partial_at;
         }
       };
@@ -219,28 +222,29 @@ class HybridVectorAggregator final : public VectorAggregator {
         emit_partials_below(key);
         State state{};
         for (size_t i = run_start; i < run_end; ++i) {
-          Aggregate::Update(state, records_[i].second);
+          agg_.Update(state, records_[i].second);
         }
         if (partial_at < partials_.size() &&
             partials_[partial_at].key == key) {
-          Aggregate::Merge(state, partials_[partial_at].state);
+          agg_.Merge(state, partials_[partial_at].state);
           ++partial_at;
         }
-        result.push_back({key, Aggregate::Finalize(state)});
+        EmitGroup(agg_, result, key, state);
         run_start = run_end;
       }
       emit_partials_below(~0ULL);
       // ~0ULL itself may be a partial key (datasets avoid it, but stay
       // correct for arbitrary callers).
       while (partial_at < partials_.size()) {
-        result.push_back({partials_[partial_at].key,
-                          Aggregate::Finalize(partials_[partial_at].state)});
+        EmitGroup(agg_, result, partials_[partial_at].key,
+                  partials_[partial_at].state);
         ++partial_at;
       }
     }
     return result;
   }
 
+  [[no_unique_address]] Aggregate agg_;
   ExecutionContext exec_;
   size_t max_hash_groups_;
   LinearProbingMap<State> map_;

@@ -53,8 +53,10 @@ class LocalPartitionAggregator final : public VectorAggregator,
   using Partial = PartialAggState<Aggregate>;
 
   LocalPartitionAggregator(size_t expected_size, ExecutionContext exec,
-                           LocalMergeMode merge_mode = LocalMergeMode::kCentral)
-      : exec_(exec),
+                           LocalMergeMode merge_mode = LocalMergeMode::kCentral,
+                           Aggregate agg = {})
+      : agg_(std::move(agg)),
+        exec_(exec),
         merge_mode_(merge_mode),
         rows_consumed_(Executor(exec_).num_workers()) {
     const int num_workers = Executor(exec_).num_workers();
@@ -92,8 +94,8 @@ class LocalPartitionAggregator final : public VectorAggregator,
     LinearProbingMap<State>& merged = *locals_[0];
     VectorResult result;
     result.reserve(merged.size());
-    merged.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    merged.ForEach([this, &result](EncodedKey key, const State& state) {
+      EmitGroup(agg_, result, key, const_cast<State&>(state));
     });
     return result;
   }
@@ -133,10 +135,10 @@ class LocalPartitionAggregator final : public VectorAggregator,
   void AbsorbPartialState(Partial&& partial) override {
     LinearProbingMap<State>& local = *locals_[0];
     for (auto& [key, state] : partial.partials) {
-      Aggregate::Merge(local.GetOrInsert(key), state);
+      agg_.Merge(local.GetOrInsert(key), state);
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(local.GetOrInsert(key), value);
+      agg_.Update(local.GetOrInsert(key), value);
     }
     rows_consumed_[0] += partial.rows;
   }
@@ -175,11 +177,11 @@ class LocalPartitionAggregator final : public VectorAggregator,
     LinearProbingMap<State>& local = *locals_[t];
     if constexpr (Aggregate::kNeedsValues) {
       for (size_t i = begin; i < end; ++i) {
-        Aggregate::Update(local.GetOrInsert(keys[i]), values[i]);
+        agg_.Update(local.GetOrInsert(keys[i]), values[i]);
       }
     } else {
       for (size_t i = begin; i < end; ++i) {
-        Aggregate::Update(local.GetOrInsert(keys[i]), 0);
+        agg_.Update(local.GetOrInsert(keys[i]), 0);
       }
     }
   }
@@ -187,10 +189,10 @@ class LocalPartitionAggregator final : public VectorAggregator,
   /// Folds `from` into `into` and frees the merged-away table eagerly.
   /// Move-assignment releases the old table's slots and its arena chunks
   /// wholesale — one deallocation per partition, not one per entry.
-  static void MergeInto(LinearProbingMap<State>& into,
-                        LinearProbingMap<State>& from) {
-    from.ForEach([&into](EncodedKey key, const State& state) {
-      Aggregate::Merge(into.GetOrInsert(key), const_cast<State&>(state));
+  void MergeInto(LinearProbingMap<State>& into,
+                 LinearProbingMap<State>& from) const {
+    from.ForEach([this, &into](EncodedKey key, const State& state) {
+      agg_.Merge(into.GetOrInsert(key), const_cast<State&>(state));
     });
     from = LinearProbingMap<State>(2);
   }
@@ -227,6 +229,7 @@ class LocalPartitionAggregator final : public VectorAggregator,
     }
   }
 
+  [[no_unique_address]] Aggregate agg_;
   ExecutionContext exec_;
   LocalMergeMode merge_mode_;
   WorkerLocal<uint64_t> rows_consumed_;  ///< Morsel-path rows, per worker.

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -28,7 +29,9 @@ class MphVectorAggregator final : public VectorAggregator {
  public:
   using State = typename Aggregate::State;
 
-  explicit MphVectorAggregator(size_t /*expected_size*/ = 0) {}
+  explicit MphVectorAggregator(size_t /*expected_size*/ = 0,
+                               Aggregate agg = {})
+      : agg_(std::move(agg)) {}
 
   void Build(const uint64_t* keys, const uint64_t* values,
              size_t n) override {
@@ -46,9 +49,8 @@ class MphVectorAggregator final : public VectorAggregator {
     for (size_t i = 0; i < buffered_keys_.size(); ++i) {
       const size_t slot = mph_.Slot(buffered_keys_[i]);
       MEMAGG_DCHECK(slot < states_.size());
-      Aggregate::Update(states_[slot], Aggregate::kNeedsValues
-                                           ? buffered_values_[i]
-                                           : 0);
+      agg_.Update(states_[slot],
+                  Aggregate::kNeedsValues ? buffered_values_[i] : 0);
     }
   }
 
@@ -56,8 +58,7 @@ class MphVectorAggregator final : public VectorAggregator {
     VectorResult result;
     result.reserve(states_.size());
     for (size_t slot = 0; slot < states_.size(); ++slot) {
-      result.push_back(
-          {mph_.KeyAt(slot), Aggregate::Finalize(states_[slot])});
+      EmitGroup(agg_, result, mph_.KeyAt(slot), states_[slot]);
     }
     return result;
   }
@@ -70,7 +71,7 @@ class MphVectorAggregator final : public VectorAggregator {
       const EncodedKey key = mph_.KeyAt(slot);
       if (key < lo) continue;
       if (key > hi) break;  // Slots are key-ordered.
-      result.push_back({key, Aggregate::Finalize(states_[slot])});
+      EmitGroup(agg_, result, key, states_[slot]);
     }
     return result;
   }
@@ -86,6 +87,7 @@ class MphVectorAggregator final : public VectorAggregator {
   }
 
  private:
+  [[no_unique_address]] Aggregate agg_;
   OrderedMinimalPerfectHash mph_;
   std::vector<State> states_;
   std::vector<uint64_t> buffered_keys_;

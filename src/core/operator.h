@@ -62,6 +62,8 @@ class VectorAggregator {
 
   /// Iterate phase: emits one row per group. Row order is
   /// implementation-defined (sorted for trees/sorts, arbitrary for hashes).
+  /// An operator at the row policy (RowAggregate, core/aggregate.h) emits
+  /// one entry per output of the row for each group, consecutively.
   virtual VectorResult Iterate() = 0;
 
   /// True if the operator supports a native range-filtered iterate (Q7).

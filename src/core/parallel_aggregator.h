@@ -168,9 +168,75 @@ struct ConcurrentModeAggregate {
   }
 };
 
+/// Row policy twin (core/aggregate.h RowAggregate): count and SUM slots
+/// take relaxed atomic adds, MAX/MIN slots a compare-exchange max, and a
+/// holistic row's row-number buffer a per-group lock — the same schemes as
+/// the single-function policies above, applied slot by slot.
+template <size_t kSlots, bool kHolistic>
+class ConcurrentRowAggregate {
+ public:
+  using Serial = RowAggregate<kSlots, kHolistic>;
+  struct SlotState {
+    std::atomic<uint64_t> slots[kSlots] = {};
+  };
+  struct BufferState {
+    std::atomic<uint64_t> slots[kSlots] = {};
+    SpinLock lock{LockRank::kAggregateState};
+    std::vector<uint64_t> rows GUARDED_BY(lock);
+  };
+  using State = std::conditional_t<kHolistic, BufferState, SlotState>;
+  static constexpr bool kNeedsValues = true;
+
+  ConcurrentRowAggregate() = default;
+  explicit ConcurrentRowAggregate(const Serial& serial) : serial_(serial) {}
+
+  void Update(State& state, uint64_t row) const {
+    const AggregateRow& layout = serial_.row();
+    // Fold into a one-row scratch row, then publish slot by slot.
+    uint64_t delta[kSlots] = {};
+    layout.Update(delta, row);
+    const size_t additive = 1 + layout.num_sums();
+    for (size_t i = 0; i < additive; ++i) {
+      state.slots[i].fetch_add(delta[i], std::memory_order_relaxed);
+    }
+    for (size_t i = additive; i < layout.num_slots(); ++i) {
+      uint64_t current = state.slots[i].load(std::memory_order_relaxed);
+      while (delta[i] > current &&
+             !state.slots[i].compare_exchange_weak(current, delta[i],
+                                                   std::memory_order_relaxed)) {
+      }
+    }
+    if constexpr (kHolistic) {
+      SpinLockGuard guard(state.lock);
+      state.rows.push_back(row);
+    }
+  }
+
+  void Emit(VectorResult& out, EncodedKey key, State& state) const {
+    // Emit runs after the parallel build; the uncontended guard keeps the
+    // buffer's locking protocol uniform for the analysis.
+    typename Serial::State snapshot;
+    for (size_t i = 0; i < kSlots; ++i) {
+      snapshot.slots[i] = state.slots[i].load(std::memory_order_relaxed);
+    }
+    if constexpr (kHolistic) {
+      SpinLockGuard guard(state.lock);
+      snapshot.rows = std::move(state.rows);
+    }
+    serial_.Emit(out, key, snapshot);
+  }
+
+ private:
+  Serial serial_;
+};
+
 /// Maps a serial aggregate policy to its Hash_TBBSC concurrent counterpart.
 template <AggregatePolicy Aggregate>
 struct ConcurrentAggregateFor;
+template <size_t kSlots, bool kHolistic>
+struct ConcurrentAggregateFor<RowAggregate<kSlots, kHolistic>> {
+  using type = ConcurrentRowAggregate<kSlots, kHolistic>;
+};
 template <>
 struct ConcurrentAggregateFor<CountAggregate> {
   using type = ConcurrentCountAggregate;
@@ -215,8 +281,10 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   /// Borrows the context's per-worker arenas when they cover the thread
   /// budget; otherwise owns a private pool so direct construction (tests,
   /// benches) works without an engine.
-  TbbStyleParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : exec_(exec),
+  TbbStyleParallelAggregator(size_t expected_size, ExecutionContext exec,
+                             ConcurrentAggregate agg = {})
+      : agg_(std::move(agg)),
+        exec_(exec),
         owned_arenas_(exec.arenas != nullptr &&
                               exec.arenas->num_workers() >= exec.num_threads
                           ? nullptr
@@ -235,9 +303,8 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
     Executor(exec_).ParallelFor(n, [&](const Morsel& m) {
       NodeAlloc& pool = pools_[m.worker];
       for (size_t i = m.begin; i < m.end; ++i) {
-        ConcurrentAggregate::Update(
-            map_.GetOrInsert(keys[i], pool),
-            ConcurrentAggregate::kNeedsValues ? values[i] : 0);
+        agg_.Update(map_.GetOrInsert(keys[i], pool),
+                    ConcurrentAggregate::kNeedsValues ? values[i] : 0);
       }
     });
   }
@@ -245,9 +312,8 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back(
-          {key, ConcurrentAggregate::Finalize(const_cast<State&>(state))});
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
+      EmitGroup(agg_, result, key, const_cast<State&>(state));
     });
     return result;
   }
@@ -268,6 +334,7 @@ class TbbStyleParallelAggregator final : public VectorAggregator {
   }
 
  private:
+  [[no_unique_address]] ConcurrentAggregate agg_;
   ExecutionContext exec_;
   std::unique_ptr<WorkerArenas> owned_arenas_;
   WorkerArenas* arenas_;
@@ -290,8 +357,9 @@ class CuckooParallelAggregator final : public VectorAggregator {
   using State = typename Aggregate::State;
   static_assert(ConcurrentGroupMap<CuckooMap<State>, State>);
 
-  CuckooParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : map_(expected_size), exec_(exec) {}
+  CuckooParallelAggregator(size_t expected_size, ExecutionContext exec,
+                           Aggregate agg = {})
+      : agg_(std::move(agg)), map_(expected_size), exec_(exec) {}
 
   void Build(const uint64_t* keys, const uint64_t* values,
              size_t n) override {
@@ -299,7 +367,7 @@ class CuckooParallelAggregator final : public VectorAggregator {
       for (size_t i = m.begin; i < m.end; ++i) {
         const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
         map_.Upsert(keys[i],
-                    [value](State& state) { Aggregate::Update(state, value); });
+                    [this, value](State& state) { agg_.Update(state, value); });
       }
     });
   }
@@ -307,8 +375,8 @@ class CuckooParallelAggregator final : public VectorAggregator {
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
+      EmitGroup(agg_, result, key, const_cast<State&>(state));
     });
     return result;
   }
@@ -323,6 +391,7 @@ class CuckooParallelAggregator final : public VectorAggregator {
   }
 
  private:
+  [[no_unique_address]] Aggregate agg_;
   CuckooMap<State> map_;
   ExecutionContext exec_;
 };
@@ -339,8 +408,10 @@ class StripedParallelAggregator final : public VectorAggregator,
   static_assert(
       ConcurrentGroupMap<StripedMap<LinearProbingMap<State>>, State>);
 
-  StripedParallelAggregator(size_t expected_size, ExecutionContext exec)
-      : map_(expected_size),
+  StripedParallelAggregator(size_t expected_size, ExecutionContext exec,
+                            Aggregate agg = {})
+      : agg_(std::move(agg)),
+        map_(expected_size),
         exec_(exec),
         rows_consumed_(Executor(exec).num_workers()) {}
 
@@ -350,7 +421,7 @@ class StripedParallelAggregator final : public VectorAggregator,
       for (size_t i = m.begin; i < m.end; ++i) {
         const uint64_t value = Aggregate::kNeedsValues ? values[i] : 0;
         map_.Upsert(keys[i],
-                    [value](State& state) { Aggregate::Update(state, value); });
+                    [this, value](State& state) { agg_.Update(state, value); });
       }
     });
   }
@@ -358,8 +429,8 @@ class StripedParallelAggregator final : public VectorAggregator,
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(map_.size());
-    map_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    map_.ForEach([this, &result](EncodedKey key, const State& state) {
+      EmitGroup(agg_, result, key, const_cast<State&>(state));
     });
     return result;
   }
@@ -375,7 +446,7 @@ class StripedParallelAggregator final : public VectorAggregator,
       const uint64_t value =
           Aggregate::kNeedsValues && values != nullptr ? values[i] : 0;
       map_.Upsert(keys[i],
-                  [value](State& state) { Aggregate::Update(state, value); });
+                  [this, value](State& state) { agg_.Update(state, value); });
     }
     rows_consumed_[m.worker] += m.end - m.begin;
   }
@@ -403,14 +474,15 @@ class StripedParallelAggregator final : public VectorAggregator,
     for (auto& [key, state] : partial.partials) {
       if constexpr (MergeableAggregatePolicy<Aggregate>) {
         State& from = state;
-        map_.Upsert(key, [&from](State& into) { Aggregate::Merge(into, from); });
+        map_.Upsert(key,
+                    [this, &from](State& into) { agg_.Merge(into, from); });
       } else {
         MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
       }
     }
     for (const auto& [key, value] : partial.records) {
       map_.Upsert(key,
-                  [value](State& state) { Aggregate::Update(state, value); });
+                  [this, value](State& state) { agg_.Update(state, value); });
     }
     rows_consumed_[0] += partial.rows;
   }
@@ -434,6 +506,7 @@ class StripedParallelAggregator final : public VectorAggregator,
   }
 
  private:
+  [[no_unique_address]] Aggregate agg_;
   StripedMap<LinearProbingMap<State>> map_;
   ExecutionContext exec_;
   WorkerLocal<uint64_t> rows_consumed_;  ///< Morsel-path rows, per worker.

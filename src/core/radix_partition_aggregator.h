@@ -48,8 +48,10 @@ class RadixPartitionAggregator final : public VectorAggregator,
   using State = typename Aggregate::State;
   using Partial = PartialAggState<Aggregate>;
 
-  RadixPartitionAggregator(size_t expected_size, ExecutionContext exec)
-      : exec_(exec),
+  RadixPartitionAggregator(size_t expected_size, ExecutionContext exec,
+                           Aggregate agg = {})
+      : agg_(std::move(agg)),
+        exec_(exec),
         num_partitions_(NextPowerOfTwo(static_cast<uint64_t>(
             std::max(1, exec.num_threads)))) {
     partitions_.reserve(num_partitions_);
@@ -135,8 +137,8 @@ class RadixPartitionAggregator final : public VectorAggregator,
             LinearProbingMap<State>& map = *partitions_[p];
             for (size_t i = partition_starts[p]; i < partition_starts[p + 1];
                  ++i) {
-              Aggregate::Update(map.GetOrInsert(scattered[i].first),
-                                scattered[i].second);
+              agg_.Update(map.GetOrInsert(scattered[i].first),
+                          scattered[i].second);
             }
           }
         },
@@ -147,9 +149,8 @@ class RadixPartitionAggregator final : public VectorAggregator,
     VectorResult result;
     result.reserve(NumGroups());
     for (const auto& partition : partitions_) {
-      partition->ForEach([&result](EncodedKey key, const State& state) {
-        result.push_back(
-            {key, Aggregate::Finalize(const_cast<State&>(state))});
+      partition->ForEach([this, &result](EncodedKey key, const State& state) {
+        EmitGroup(agg_, result, key, const_cast<State&>(state));
       });
     }
     return result;
@@ -181,7 +182,7 @@ class RadixPartitionAggregator final : public VectorAggregator,
       const uint64_t value =
           Aggregate::kNeedsValues && values != nullptr ? values[i] : 0;
       LinearProbingMap<State>& table = *incr_[base + PartitionOf(keys[i])];
-      Aggregate::Update(table.GetOrInsert(keys[i]), value);
+      agg_.Update(table.GetOrInsert(keys[i]), value);
     }
     (*incr_rows_)[m.worker] += m.end - m.begin;
   }
@@ -222,14 +223,14 @@ class RadixPartitionAggregator final : public VectorAggregator,
     for (auto& [key, state] : partial.partials) {
       LinearProbingMap<State>& table = *incr_[PartitionOf(key)];
       if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(table.GetOrInsert(key), state);
+        agg_.Merge(table.GetOrInsert(key), state);
       } else {
         MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
       }
     }
     for (const auto& [key, value] : partial.records) {
       LinearProbingMap<State>& table = *incr_[PartitionOf(key)];
-      Aggregate::Update(table.GetOrInsert(key), value);
+      agg_.Update(table.GetOrInsert(key), value);
     }
     (*incr_rows_)[0] += partial.rows;
   }
@@ -247,10 +248,9 @@ class RadixPartitionAggregator final : public VectorAggregator,
             for (int w = 0; w < incr_workers_; ++w) {
               LinearProbingMap<State>& from =
                   *incr_[static_cast<size_t>(w) * num_partitions_ + p];
-              from.ForEach([&into](EncodedKey key, const State& state) {
+              from.ForEach([this, &into](EncodedKey key, const State& state) {
                 if constexpr (MergeableAggregatePolicy<Aggregate>) {
-                  Aggregate::Merge(into.GetOrInsert(key),
-                                   const_cast<State&>(state));
+                  agg_.Merge(into.GetOrInsert(key), const_cast<State&>(state));
                 } else {
                   MEMAGG_CHECK(false &&
                                "aggregate has no Merge; cannot finish the "
@@ -306,6 +306,7 @@ class RadixPartitionAggregator final : public VectorAggregator,
     return PartitionOfHash(HashKey(key));
   }
 
+  [[no_unique_address]] Aggregate agg_;
   ExecutionContext exec_;
   size_t num_partitions_;
   std::vector<std::unique_ptr<LinearProbingMap<State>>> partitions_;

@@ -44,8 +44,9 @@ class SortVectorAggregator final : public VectorAggregator,
  public:
   using Partial = PartialAggState<Aggregate>;
 
-  explicit SortVectorAggregator(SorterT sorter = SorterT{})
-      : sorter_(std::move(sorter)) {}
+  explicit SortVectorAggregator(SorterT sorter = SorterT{},
+                                Aggregate agg = {})
+      : sorter_(std::move(sorter)), agg_(std::move(agg)) {}
 
   void Build(const uint64_t* keys, const uint64_t* values,
              size_t n) override {
@@ -201,7 +202,7 @@ class SortVectorAggregator final : public VectorAggregator,
         typename Aggregate::State state = std::move(absorbed_[pi].second);
         ++pi;
         MergeSameKeyPartials(key, &state, &pi);
-        result.push_back({key, Aggregate::Finalize(state)});
+        EmitGroup(agg_, result, key, state);
       }
     };
     const size_t n = records.size();
@@ -213,10 +214,10 @@ class SortVectorAggregator final : public VectorAggregator,
       emit_partials_below(key, /*inclusive=*/false);
       typename Aggregate::State state{};
       for (size_t i = run_start; i < run_end; ++i) {
-        Aggregate::Update(state, records[i].second);
+        agg_.Update(state, records[i].second);
       }
       MergeSameKeyPartials(key, &state, &pi);
-      result.push_back({key, Aggregate::Finalize(state)});
+      EmitGroup(agg_, result, key, state);
       run_start = run_end;
     }
     emit_partials_below(~0ULL, /*inclusive=*/true);
@@ -269,7 +270,7 @@ class SortVectorAggregator final : public VectorAggregator,
           ++run_end;
         }
         if (key >= lo && key <= hi) {
-          result.push_back({key, AggregateRun(run_start, run_end)});
+          EmitRun(result, key, run_start, run_end);
         }
         run_start = run_end;
       }
@@ -287,9 +288,9 @@ class SortVectorAggregator final : public VectorAggregator,
         if (key >= lo && key <= hi) {
           typename Aggregate::State state{};
           for (size_t i = run_start; i < run_end; ++i) {
-            Aggregate::Update(state, 0);
+            agg_.Update(state, 0);
           }
-          result.push_back({key, Aggregate::Finalize(state)});
+          EmitGroup(agg_, result, key, state);
         }
         run_start = run_end;
       }
@@ -300,7 +301,8 @@ class SortVectorAggregator final : public VectorAggregator,
   /// Aggregates one group's run of records. Holistic aggregates with a
   /// FinalizeRun fast path operate on the run's values in place; others fold
   /// through their state.
-  double AggregateRun(size_t run_start, size_t run_end) {
+  void EmitRun(VectorResult& result, EncodedKey key, size_t run_start,
+               size_t run_end) {
     const size_t count = run_end - run_start;
     if constexpr (requires(uint64_t* v, size_t c) {
                     Aggregate::FinalizeRun(v, c);
@@ -309,13 +311,14 @@ class SortVectorAggregator final : public VectorAggregator,
       for (size_t i = 0; i < count; ++i) {
         run_values_[i] = records_[run_start + i].second;
       }
-      return Aggregate::FinalizeRun(run_values_.data(), count);
+      result.push_back(
+          {key, Aggregate::FinalizeRun(run_values_.data(), count)});
     } else {
       typename Aggregate::State state{};
       for (size_t i = run_start; i < run_end; ++i) {
-        Aggregate::Update(state, records_[i].second);
+        agg_.Update(state, records_[i].second);
       }
-      return Aggregate::Finalize(state);
+      EmitGroup(agg_, result, key, state);
     }
   }
 
@@ -329,7 +332,7 @@ class SortVectorAggregator final : public VectorAggregator,
                             size_t* pi) {
     while (*pi < absorbed_.size() && absorbed_[*pi].first == key) {
       if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(*state, absorbed_[*pi].second);
+        agg_.Merge(*state, absorbed_[*pi].second);
       } else {
         MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
       }
@@ -338,6 +341,7 @@ class SortVectorAggregator final : public VectorAggregator,
   }
 
   SorterT sorter_;
+  [[no_unique_address]] Aggregate agg_;
   std::vector<uint64_t> keys_;
   std::vector<std::pair<uint64_t, uint64_t>> records_;
   std::vector<uint64_t> run_values_;  // Scratch for holistic runs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "core/advisor.h"
@@ -39,20 +38,6 @@ std::vector<uint64_t> FilterRows(const Table& table, const TableQuery& query) {
   return rows;
 }
 
-/// Measure column for one aggregate, gathered through the selected rows
-/// (or the column itself when the whole table runs).
-std::vector<uint64_t> GatherValues(const Table& table,
-                                   const std::string& column,
-                                   const std::vector<uint64_t>* rows) {
-  const std::vector<uint64_t>& source = table.ColumnNamed(column).u64();
-  if (rows == nullptr) return source;
-  std::vector<uint64_t> gathered(rows->size());
-  for (size_t i = 0; i < rows->size(); ++i) {
-    gathered[i] = source[(*rows)[i]];
-  }
-  return gathered;
-}
-
 std::string ResolveLabel(const std::string& label, const TableQuery& query,
                          int key_width_bits, const ExecutionContext& exec) {
   if (label != "auto") return label;
@@ -70,8 +55,9 @@ std::string DefaultName(const AggregateSpec& spec) {
   return AggregateFunctionName(spec.function) + "(" + spec.column + ")";
 }
 
-/// Runs every aggregate over the shared encoded key column, aligns the
-/// per-aggregate results by key, and emits canonical group order.
+/// Runs every aggregate in one build over the shared encoded key column and
+/// emits canonical group order. The operators read the measures in place,
+/// through the selected rows.
 template <TableKeyCodec Codec>
 TableQueryResult RunAggregates(const Table& table, const TableQuery& query,
                                const Codec& codec,
@@ -85,81 +71,58 @@ TableQueryResult RunAggregates(const Table& table, const TableQuery& query,
   result.order_preserving = codec.order_preserving();
   result.rows_scanned = keys.size();
 
-  // Pre-size to the record count, the paper's standing assumption; growable
-  // structures shrink this via their own cardinality estimate.
-  const size_t expected = keys.size();
-
-  std::vector<EncodedKey> group_keys;
-  std::unordered_map<EncodedKey, size_t> row_of;
-  for (size_t a = 0; a < query.aggregates.size(); ++a) {
-    const AggregateSpec& spec = query.aggregates[a];
-    std::vector<uint64_t> values;
-    const uint64_t* values_ptr = nullptr;
-    if (NeedsValueColumn(spec.function)) {
-      values = GatherValues(table, spec.column, rows);
-      values_ptr = values.data();
-    }
-    VectorQueryExecution run =
-        ExecuteVectorQuery(label, spec.function, keys.data(), values_ptr,
-                           keys.size(), expected, exec);
-    result.stats.Merge(run.stats);
+  AggregateRow row;
+  for (const AggregateSpec& spec : query.aggregates) {
     result.aggregate_names.push_back(DefaultName(spec));
-    if (a == 0) {
-      group_keys.reserve(run.result.size());
-      row_of.reserve(run.result.size() * 2);
-      std::vector<double> column(run.result.size());
-      for (size_t g = 0; g < run.result.size(); ++g) {
-        row_of.emplace(run.result[g].key, g);
-        group_keys.push_back(run.result[g].key);
-        column[g] = run.result[g].value;
-      }
-      MEMAGG_CHECK(row_of.size() == run.result.size() &&
-                   "operator emitted a duplicate group key");
-      result.aggregate_columns.push_back(std::move(column));
-      continue;
-    }
-    // Later aggregates see the same key column, so their group sets must
-    // match the first run's exactly; any drift is an operator bug.
-    MEMAGG_CHECK(run.result.size() == group_keys.size() &&
-                 "aggregate runs disagree on the group set");
-    std::vector<double> column(group_keys.size());
-    for (const GroupResult& group : run.result) {
-      const auto it = row_of.find(group.key);
-      MEMAGG_CHECK(it != row_of.end() &&
-                   "aggregate runs disagree on the group set");
-      column[it->second] = group.value;
-    }
-    result.aggregate_columns.push_back(std::move(column));
+    row.Add(spec.function, NeedsValueColumn(spec.function)
+                               ? table.ColumnNamed(spec.column).u64().data()
+                               : nullptr);
   }
+  VectorQueryExecution run =
+      ExecuteRowQuery(label, row, keys.data(),
+                      rows == nullptr ? nullptr : rows->data(), keys.size(),
+                      exec);
+  result.stats = std::move(run.stats);
 
   // Canonical output order. An order-preserving codec makes encoded order
-  // the natural multi-column order; otherwise (DictKeyCodec, unsorted
-  // dictionaries) sort by the decoded tuples — distinct keys decode to
-  // distinct tuples, so the order is total either way.
-  std::vector<DecodedKey> decoded = DecodeKeyColumn(codec, group_keys);
-  std::vector<size_t> order(group_keys.size());
+  // the natural multi-column order (trees and sorts already emit it);
+  // otherwise (DictKeyCodec, unsorted dictionaries) sort by the decoded
+  // tuples — distinct keys decode to distinct tuples, so the order is total
+  // either way.
+  const size_t outputs = row.num_outputs();
+  const size_t groups = run.result.size() / outputs;
+  const auto key_at = [&](size_t g) { return run.result[g * outputs].key; };
+  std::vector<DecodedKey> decoded(groups);
+  for (size_t g = 0; g < groups; ++g) decoded[g] = codec.Decode(key_at(g));
+  std::vector<size_t> order(groups);
   std::iota(order.begin(), order.end(), size_t{0});
-  if (codec.order_preserving()) {
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return group_keys[a] < group_keys[b];
-    });
-  } else {
+  if (!codec.order_preserving()) {
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return std::lexicographical_compare(decoded[a].begin(), decoded[a].end(),
                                           decoded[b].begin(),
                                           decoded[b].end());
     });
+  } else if (!std::is_sorted(order.begin(), order.end(),
+                             [&](size_t a, size_t b) {
+                               return key_at(a) < key_at(b);
+                             })) {
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return key_at(a) < key_at(b); });
   }
-  result.group_keys.reserve(order.size());
-  for (const size_t g : order) {
-    result.group_keys.push_back(std::move(decoded[g]));
-  }
-  for (std::vector<double>& column : result.aggregate_columns) {
-    std::vector<double> sorted_column(order.size());
-    for (size_t g = 0; g < order.size(); ++g) {
-      sorted_column[g] = column[order[g]];
+  // Either order puts copies of one encoded key next to each other.
+  MEMAGG_CHECK(std::adjacent_find(order.begin(), order.end(),
+                                  [&](size_t a, size_t b) {
+                                    return key_at(a) == key_at(b);
+                                  }) == order.end() &&
+               "operator emitted a duplicate group key");
+  result.group_keys.reserve(groups);
+  result.aggregate_columns.assign(outputs, std::vector<double>(groups));
+  for (size_t g = 0; g < groups; ++g) {
+    result.group_keys.push_back(std::move(decoded[order[g]]));
+    for (size_t a = 0; a < outputs; ++a) {
+      result.aggregate_columns[a][g] =
+          run.result[order[g] * outputs + a].value;
     }
-    column = std::move(sorted_column);
   }
   return result;
 }

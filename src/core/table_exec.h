@@ -18,11 +18,13 @@
 //   3. an optional Q7-style range on the leading key column narrows the
 //      rows via the codec's contiguous encoded range (order-preserving
 //      codecs only — aborts loudly otherwise);
-//   4. one ExecuteVectorQuery per aggregate runs over the shared key
-//      column (families, threading, and the adaptive operator all work
-//      unchanged — they never learn the key was composite);
-//   5. per-aggregate results are aligned by encoded key, sorted into
-//      canonical group order, and decoded back to column values.
+//   4. the aggregates compile into one AggregateRow and ExecuteRowQuery
+//      builds it once over the shared key column, reading the measures in
+//      place through the selected rows (families, threading, and the
+//      adaptive operator all work unchanged — they never learn the key was
+//      composite);
+//   5. groups are put in canonical order (skipped when already there) and
+//      decoded back to column values.
 //
 // The label may be "auto": the advisor picks it from the query shape and
 // the codec's key width (core/advisor.h).

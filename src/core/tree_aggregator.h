@@ -38,17 +38,17 @@ class TreeVectorAggregator final : public VectorAggregator,
 
   /// Trees grow dynamically with the data (paper Section 3.3); no
   /// pre-sizing is needed or possible.
-  TreeVectorAggregator() = default;
+  explicit TreeVectorAggregator(Aggregate agg = {}) : agg_(std::move(agg)) {}
 
   void Build(const uint64_t* keys, const uint64_t* values,
              size_t n) override {
     if constexpr (Aggregate::kNeedsValues) {
       for (size_t i = 0; i < n; ++i) {
-        Aggregate::Update(tree_.GetOrInsert(keys[i]), values[i]);
+        agg_.Update(tree_.GetOrInsert(keys[i]), values[i]);
       }
     } else {
       for (size_t i = 0; i < n; ++i) {
-        Aggregate::Update(tree_.GetOrInsert(keys[i]), 0);
+        agg_.Update(tree_.GetOrInsert(keys[i]), 0);
       }
     }
   }
@@ -56,8 +56,8 @@ class TreeVectorAggregator final : public VectorAggregator,
   VectorResult Iterate() override {
     VectorResult result;
     result.reserve(tree_.size());
-    tree_.ForEach([&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
+    tree_.ForEach([this, &result](EncodedKey key, const State& state) {
+      EmitGroup(agg_, result, key, const_cast<State&>(state));
     });
     return result;
   }
@@ -66,9 +66,11 @@ class TreeVectorAggregator final : public VectorAggregator,
 
   VectorResult IterateRange(uint64_t lo, uint64_t hi) override {
     VectorResult result;
-    tree_.ForEachInRange(lo, hi, [&result](EncodedKey key, const State& state) {
-      result.push_back({key, Aggregate::Finalize(const_cast<State&>(state))});
-    });
+    tree_.ForEachInRange(lo, hi,
+                         [this, &result](EncodedKey key, const State& state) {
+                           EmitGroup(agg_, result, key,
+                                     const_cast<State&>(state));
+                         });
     return result;
   }
 
@@ -104,13 +106,13 @@ class TreeVectorAggregator final : public VectorAggregator,
   void AbsorbPartialState(Partial&& partial) override {
     for (auto& [key, state] : partial.partials) {
       if constexpr (MergeableAggregatePolicy<Aggregate>) {
-        Aggregate::Merge(tree_.GetOrInsert(key), state);
+        agg_.Merge(tree_.GetOrInsert(key), state);
       } else {
         MEMAGG_CHECK(false && "aggregate has no Merge; cannot absorb partials");
       }
     }
     for (const auto& [key, value] : partial.records) {
-      Aggregate::Update(tree_.GetOrInsert(key), value);
+      agg_.Update(tree_.GetOrInsert(key), value);
     }
     rows_consumed_ += partial.rows;
   }
@@ -154,6 +156,7 @@ class TreeVectorAggregator final : public VectorAggregator,
   TreeT<State>& tree() { return tree_; }
 
  private:
+  [[no_unique_address]] Aggregate agg_;
   TreeT<State> tree_;
   uint64_t rows_consumed_ = 0;  ///< Morsel-path rows (Progress reporting).
 };

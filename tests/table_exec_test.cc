@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/concepts.h"
@@ -201,14 +203,153 @@ TEST(TableExecTest, AutoLabelSeesKeyWidth) {
   EXPECT_EQ(ExecuteTableQuery(wide, query, "auto").label, "Introsort");
 }
 
-TEST(TableExecTest, StatsAccumulateAcrossAggregates) {
-  const Table table = GenerateLineitem(2000, 8);
-  const TableQueryResult result =
-      ExecuteTableQuery(table, Q1Query(), "Hash_LP");
-  // Four aggregate runs, each consuming every filtered row.
-  EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt),
-            4 * result.rows_scanned);
-  EXPECT_GT(result.stats.TotalCycles(), 0u);
+/// Every registered label that accepts `threads` workers.
+std::vector<std::string> LabelsFor(int threads) {
+  std::vector<std::string> labels = {
+      "Hash_TBBSC", "Hash_LC",  "Hash_PLocal", "Hash_Striped", "Hash_PRadix",
+      "Hybrid",     "Adaptive", "Sort_BI",     "Sort_QSLB",    "Sort_SS",
+      "Sort_TBB"};
+  if (threads == 1) {
+    for (const std::string& label : SerialLabels()) {
+      if (label != "Hash_LC") labels.push_back(label);  // Listed above.
+    }
+    for (const char* label :
+         {"Hash_SC_Global", "Hash_MPH", "ART_Global", "Ttree", "Quicksort",
+          "Sort_MSBRadix", "Sort_LSBRadix"}) {
+      labels.push_back(label);
+    }
+  }
+  return labels;
+}
+
+TEST(TableExecTest, EveryLabelBuildsOncePerQuery) {
+  // One build folds all four Q1 aggregates: each scanned row is built
+  // exactly once, whatever the family or thread count.
+  const Table table = GenerateLineitem(3000, 8);
+  for (const int threads : {1, 4}) {
+    for (const std::string& label : LabelsFor(threads)) {
+      const std::string context = label + "@" + std::to_string(threads);
+      const TableQueryResult result =
+          ExecuteTableQuery(table, Q1Query(), label, threads);
+      EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt),
+                result.rows_scanned)
+          << context;
+      EXPECT_EQ(result.stats.Get(StatCounter::kGroupsOut),
+                result.group_keys.size())
+          << context;
+      // The result carries the engine's timed build/iterate phases.
+      EXPECT_GT(result.stats.TotalCycles(), 0u) << context;
+      // Canonical order is strictly increasing: no group emitted twice.
+      EXPECT_TRUE(std::adjacent_find(result.group_keys.begin(),
+                                     result.group_keys.end(),
+                                     [](const DecodedKey& a,
+                                        const DecodedKey& b) {
+                                       return !(a < b);
+                                     }) == result.group_keys.end())
+          << context;
+      ExpectMatchesReference(table, result, context);
+    }
+  }
+}
+
+TEST(TableExecTest, MixedAggregatesMatchOracleAcrossLabels) {
+  // Every function in one row, the measure "v" read by five of them, no
+  // filter (measures read in place). Values repeat so MODE has ties.
+  const size_t rows = 4000;
+  std::vector<uint64_t> keys(rows), v(rows), w(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    keys[i] = (i * 7919) % 37;
+    v[i] = (i * 104729) % 23;
+    w[i] = (i * 31) % 1000 + 1;
+  }
+  Table table;
+  table.AddColumn("k", Column::U64(keys));
+  table.AddColumn("v", Column::U64(v));
+  table.AddColumn("w", Column::U64(w));
+  TableQuery query;
+  query.group_by = {"k"};
+  query.aggregates = {{AggregateFunction::kCount, "", "n"},
+                      {AggregateFunction::kSum, "v", "sum_v"},
+                      {AggregateFunction::kMin, "v", "min_v"},
+                      {AggregateFunction::kMax, "w", "max_w"},
+                      {AggregateFunction::kAverage, "v", "avg_v"},
+                      {AggregateFunction::kMedian, "w", "median_w"},
+                      {AggregateFunction::kMode, "v", "mode_v"}};
+
+  std::map<uint64_t, std::pair<std::vector<uint64_t>, std::vector<uint64_t>>>
+      groups;
+  for (size_t i = 0; i < rows; ++i) {
+    groups[keys[i]].first.push_back(v[i]);
+    groups[keys[i]].second.push_back(w[i]);
+  }
+  std::vector<std::vector<double>> oracle(query.aggregates.size());
+  for (auto& [key, measures] : groups) {
+    std::vector<uint64_t>& vs = measures.first;
+    std::vector<uint64_t>& ws = measures.second;
+    std::sort(vs.begin(), vs.end());
+    std::sort(ws.begin(), ws.end());
+    uint64_t sum = 0;
+    for (const uint64_t x : vs) sum += x;
+    const size_t mid = ws.size() / 2;
+    const double median =
+        ws.size() % 2 == 1 ? static_cast<double>(ws[mid])
+                           : (static_cast<double>(ws[mid - 1]) +
+                              static_cast<double>(ws[mid])) / 2.0;
+    std::map<uint64_t, size_t> freq;
+    for (const uint64_t x : vs) ++freq[x];
+    uint64_t mode = vs[0];
+    for (const auto& [value, count] : freq) {
+      if (count > freq[mode]) mode = value;
+    }
+    oracle[0].push_back(static_cast<double>(vs.size()));
+    oracle[1].push_back(static_cast<double>(sum));
+    oracle[2].push_back(static_cast<double>(vs.front()));
+    oracle[3].push_back(static_cast<double>(ws.back()));
+    oracle[4].push_back(static_cast<double>(sum) /
+                        static_cast<double>(vs.size()));
+    oracle[5].push_back(median);
+    oracle[6].push_back(static_cast<double>(mode));
+  }
+
+  for (const int threads : {1, 4}) {
+    for (const std::string& label : LabelsFor(threads)) {
+      const std::string context = label + "@" + std::to_string(threads);
+      const TableQueryResult result =
+          ExecuteTableQuery(table, query, label, threads);
+      ASSERT_EQ(result.group_keys.size(), groups.size()) << context;
+      ASSERT_EQ(result.aggregate_columns.size(), oracle.size()) << context;
+      size_t g = 0;
+      for (const auto& entry : groups) {
+        EXPECT_EQ(result.group_keys[g][0].u64, entry.first) << context;
+        ++g;
+      }
+      for (size_t a = 0; a < oracle.size(); ++a) {
+        EXPECT_EQ(result.aggregate_columns[a], oracle[a])
+            << context << " " << result.aggregate_names[a];
+      }
+      EXPECT_EQ(result.stats.Get(StatCounter::kRowsBuilt), rows) << context;
+    }
+  }
+}
+
+TEST(TableExecTest, FilterKeepingNoRowsYieldsEmptyResult) {
+  const Table table = GenerateLineitem(500, 9);
+  TableQuery query = Q1Query();
+  query.filter_column = "l_quantity";
+  query.filter_max = 0;  // Quantities start at 1.
+  for (const int threads : {1, 4}) {
+    for (const std::string& label : LabelsFor(threads)) {
+      const std::string context = label + "@" + std::to_string(threads);
+      const TableQueryResult result =
+          ExecuteTableQuery(table, query, label, threads);
+      EXPECT_EQ(result.rows_scanned, 0u) << context;
+      EXPECT_TRUE(result.group_keys.empty()) << context;
+      ASSERT_EQ(result.aggregate_columns.size(), 4u) << context;
+      for (const std::vector<double>& column : result.aggregate_columns) {
+        EXPECT_TRUE(column.empty()) << context;
+      }
+    }
+  }
 }
 
 TEST(TableExecDeathTest, RangeOverDictCodecAborts) {

@@ -90,7 +90,7 @@ FIXTURES = (
     ("stats_in_morsel.cc", "src/exec/stats_fixture.cc",
      model.RULE_STATS, 1),
     ("fixed_aggregator.cc", "src/exec/fixed_agg_fixture.cc",
-     model.RULE_FIXED_AGG, 1),
+     model.RULE_FIXED_AGG, 2),
     ("clean_ok.cc", "src/exec/clean_fixture.cc", None, 0),
     ("arena_escape.cc", "src/exec/arena_escape_fixture.cc",
      model.RULE_ARENA_ESCAPE, 5),

@@ -3,7 +3,8 @@
 // call site; the engine routes it through MakeVectorAggregator or
 // AdaptiveAggregator so strategy selection stays in one place.
 //
-// Expected: exactly one fixed-aggregator-construction violation.
+// Expected: exactly two fixed-aggregator-construction violations, one per
+// aggregate policy kind (single-function and row).
 
 namespace std {
 template <typename T>
@@ -25,4 +26,13 @@ struct CountAggregate {
 
 auto MakeHardcodedOperator() {
   return std::make_unique<SortedAggregator<CountAggregate>>();  // planted
+}
+
+template <unsigned long kSlots, bool kHolistic>
+struct RowAggregate {
+  unsigned long slots[kSlots];
+};
+
+auto MakeHardcodedRowOperator() {
+  return std::make_unique<SortedAggregator<RowAggregate<4, false>>>();  // planted
 }

@@ -42,11 +42,25 @@ Usage:
         A missing baseline series is an error; a missing candidate series
         warns loudly and passes, so the gate is portable to machines
         without the vector lane (the bench skips unsupported lanes).
+
+    bench_compare.py --one-pass-gate BENCH_tpch.json
+        Fails (exit 1) unless every row carrying meta.rows_built and
+        meta.rows_scanned has them equal: a table query builds each
+        scanned row exactly once, whatever its aggregate count. Counts,
+        not timings, so runner noise cannot flake it. A report in which no
+        row carries the counts fails too.
+
+    bench_compare.py --self-test
+        Runs the one-pass gate over planted fixture reports (a clean one,
+        one with a row built once per aggregate, one with no counts) and
+        fails unless each verdict is the expected one.
 """
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 REQUIRED_TOP_KEYS = {"bench", "params", "rows"}
 REQUIRED_ROW_KEYS = {"series", "x", "cycles", "millis"}
@@ -298,15 +312,77 @@ def speedup_gate(path, baseline_series, candidate_series, metric,
     return 1 if failures else 0
 
 
+def one_pass_gate(path):
+    """Every row with one-pass counts must have rows_built == rows_scanned."""
+    report = load_report(path)
+    problems = validate(report, path)
+    if problems:
+        for p in problems:
+            print(p, file=sys.stderr)
+        return 1
+    checked = 0
+    failures = 0
+    for row in report["rows"]:
+        meta = row.get("meta", {})
+        if "rows_built" not in meta or "rows_scanned" not in meta:
+            continue
+        checked += 1
+        built, scanned = meta["rows_built"], meta["rows_scanned"]
+        if built != scanned:
+            failures += 1
+            print(f"  FAIL {row['series']}: rows_built {built} != "
+                  f"rows_scanned {scanned}")
+    if checked == 0:
+        print(f"error: no row of {path} carries meta.rows_built and "
+              "meta.rows_scanned", file=sys.stderr)
+        return 1
+    print(f"one-pass gate: {checked} row(s), {failures} failure(s)")
+    return 1 if failures else 0
+
+
+def self_test():
+    """Planted fixtures: each gate verdict must match the expected exit."""
+    def row(series, built, scanned):
+        return {"series": series, "x": 1000, "cycles": 1, "millis": 1.0,
+                "meta": {"rows_built": str(built),
+                         "rows_scanned": str(scanned)}}
+
+    bare = {"series": "Hash_LP@1", "x": 1000, "cycles": 1, "millis": 1.0}
+    cases = (
+        ("one build per query", [row("Hash_LP@1", 980, 980),
+                                 row("Sort_BI@4", 980, 980)], 0),
+        ("planted: one build per aggregate",
+         [row("Hash_LP@1", 980, 980), row("ART@1", 3920, 980)], 1),
+        ("planted: no row carries the counts", [bare], 1),
+    )
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows, expected in cases:
+            path = os.path.join(tmp, "BENCH_fixture.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump({"bench": "fixture", "params": {}, "rows": rows}, f)
+            got = one_pass_gate(path)
+            verdict = "ok" if got == expected else "FAIL"
+            print(f"  {verdict} {name}: exit {got} (expected {expected})")
+            failures += got != expected
+    print(f"self-test: {len(cases)} case(s), {failures} failure(s)")
+    return 1 if failures else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("files", nargs="+", metavar="FILE",
+    parser.add_argument("files", nargs="*", metavar="FILE",
                         help="one file with --self-check, else "
                              "BASELINE CANDIDATE")
     parser.add_argument("--self-check", action="store_true",
                         help="validate schema of a single report")
+    parser.add_argument("--one-pass-gate", action="store_true",
+                        help="require rows_built == rows_scanned on every "
+                             "row of one report")
+    parser.add_argument("--self-test", action="store_true",
+                        help="run the one-pass gate over planted fixtures")
     parser.add_argument("--adaptive-gate", action="store_true",
                         help="check the adaptive series against the best "
                              "fixed series at every x of one report")
@@ -336,6 +412,14 @@ def main():
     args = parser.parse_args()
     metric = args.metric or ("cycles" if args.speedup_gate else "millis")
 
+    if args.self_test:
+        if args.files:
+            parser.error("--self-test takes no files")
+        return self_test()
+    if args.one_pass_gate:
+        if len(args.files) != 1:
+            parser.error("--one-pass-gate takes exactly one file")
+        return one_pass_gate(args.files[0])
     if args.self_check:
         if len(args.files) != 1:
             parser.error("--self-check takes exactly one file")

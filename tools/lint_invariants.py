@@ -641,6 +641,15 @@ FIXTURES = [
     ),
     (
         "fixed-aggregator-construction",
+        "bench/micro.cc",  # a row-policy instantiation is no exception
+        "void f(const AggregateRow& row) { auto a = std::make_unique<\n"
+        "    HashVectorAggregator<LinearProbingMap, RowAggregate<4, false>>>(\n"
+        "    64, RowAggregate<4, false>(&row)); use(a); }\n",
+        "void f(const AggregateRow& row) {\n"
+        "  auto a = MakeRowAggregator(\"Hash_LP\", row, 64, exec); use(a); }\n",
+    ),
+    (
+        "fixed-aggregator-construction",
         "src/core/engine.cc",  # the factory is where construction lives
         "",
         "std::unique_ptr<VectorAggregator> Make() {\n"
