@@ -86,7 +86,7 @@ int Run(int argc, char** argv) {
   // Allocator ablation (paper Section 6): the paper swept five malloc
   // libraries; this repo isolates the same dimension as arena-backed vs
   // global-new twins of the chaining-map and ART build paths. Runs
-  // in-process through ExecuteVectorQuery so the QueryStats rows carry the
+  // in-process through ExecuteRowQuery so the QueryStats rows carry the
   // allocator counters (arena_chunks, arena_bytes_*, freelist_reuses) into
   // BENCH_memory.json.
   BenchReport report("memory");
@@ -98,14 +98,15 @@ int Run(int argc, char** argv) {
   std::printf(
       "records,algorithm,millis,arena_chunks,arena_bytes_reserved,"
       "arena_bytes_used\n");
+  AggregateRow count;
+  count.Add(AggregateFunction::kCount, nullptr);
   for (uint64_t records : sizes) {
     const DatasetSpec spec{Distribution::kRseq, records, cardinality, 82};
     if (!IsValidSpec(spec)) continue;
     const auto keys = GenerateKeys(spec);
     for (const std::string& label : alloc_labels) {
       const VectorQueryExecution execution =
-          ExecuteVectorQuery(label, AggregateFunction::kCount, keys.data(),
-                             nullptr, keys.size(), keys.size());
+          ExecuteRowQuery(label, count, keys.data(), nullptr, keys.size());
       if (execution.result.empty()) std::abort();
       const QueryStats& stats = execution.stats;
       report.AddRow(label, records, stats.TotalCycles(), stats.TotalMillis(),

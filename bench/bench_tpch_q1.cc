@@ -88,33 +88,23 @@ struct RunSpec {
   }
 };
 
-/// True for labels that accept a multi-threaded ExecutionContext; serial
-/// families abort on num_threads > 1 (core/engine.cc), so --labels runs
-/// clamp them to one thread.
-bool ParallelCapable(const std::string& label) {
-  for (const std::string& concurrent : ConcurrentLabels()) {
-    if (label == concurrent) return true;
-  }
-  for (const char* capable : {"Hash_PLocal", "Hash_Striped", "Hash_PRadix",
-                              "Hybrid", "Adaptive", "auto"}) {
-    if (label == capable) return true;
-  }
-  return false;
+/// `threads` for a label that runs at any thread count ("auto" included,
+/// the advisor plans for the thread count), 1 for a serial-only label.
+int ThreadsFor(const std::string& label, int threads) {
+  return label == "auto" || !LookupLabel(label).serial_only ? threads : 1;
 }
 
-/// Every family the result must be byte-stable across: all serial labels,
-/// the parallel labels at `threads`, and the adaptive operator at both 1
-/// and `threads` (mid-query switching must not perturb the sums).
+/// Every family the result must be byte-stable across: the Table 3 labels
+/// at one thread, every label that runs at any thread count at `threads`,
+/// and the adaptive operator at one thread too (mid-query switching must
+/// not perturb the sums).
 std::vector<RunSpec> ValidationRuns(int threads) {
   std::vector<RunSpec> runs;
   for (const std::string& label : SerialLabels()) runs.push_back({label, 1});
-  for (const char* label :
-       {"Hash_TBBSC", "Hash_LC", "Hash_PLocal", "Hash_Striped", "Hash_PRadix",
-        "Sort_BI", "Sort_QSLB", "Hybrid"}) {
-    runs.push_back({label, threads});
+  for (const LabelInfo& info : Labels()) {
+    if (!info.serial_only) runs.push_back({std::string(info.name), threads});
   }
   runs.push_back({"Adaptive", 1});
-  runs.push_back({"Adaptive", threads});
   return runs;
 }
 
@@ -212,7 +202,7 @@ int Run(int argc, char** argv) {
   std::vector<RunSpec> runs;
   if (flags.Has("labels")) {
     for (const std::string& label : flags.GetList("labels", {})) {
-      runs.push_back({label, ParallelCapable(label) ? threads : 1});
+      runs.push_back({label, ThreadsFor(label, threads)});
     }
   } else {
     runs = ValidationRuns(threads);

@@ -33,6 +33,11 @@ int Run(int argc, char** argv) {
               "query execution cycles vs group-by cardinality");
   std::printf("dataset,cardinality,algorithm,total_cycles,build_ms,iterate_ms\n");
 
+  // One aggregate; ExecuteRowQuery sizes the structure from the sampled
+  // group estimate.
+  AggregateRow row;
+  row.Add(AggregateFunction::kCount, nullptr);
+
   BenchReport report("vector_q1");
   report.SetParam("records", records);
 
@@ -45,8 +50,7 @@ int Run(int argc, char** argv) {
       const auto keys = GenerateKeys(spec);
       for (const std::string& label : labels) {
         const VectorQueryExecution execution =
-            ExecuteVectorQuery(label, AggregateFunction::kCount, keys.data(),
-                               nullptr, keys.size(), records);
+            ExecuteRowQuery(label, row, keys.data(), nullptr, keys.size());
         const QueryStats& stats = execution.stats;
         std::printf("%s,%llu,%s,%llu,%.1f,%.1f\n", dataset_name.c_str(),
                     static_cast<unsigned long long>(cardinality),

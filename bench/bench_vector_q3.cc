@@ -33,6 +33,11 @@ int Run(int argc, char** argv) {
               "query execution cycles vs group-by cardinality");
   std::printf("dataset,cardinality,algorithm,total_cycles,build_ms,iterate_ms\n");
 
+  // One aggregate; ExecuteRowQuery sizes the structure from the sampled
+  // group estimate.
+  AggregateRow row;
+  row.Add(AggregateFunction::kMedian, values.data());
+
   BenchReport report("vector_q3");
   report.SetParam("records", records);
 
@@ -44,9 +49,8 @@ int Run(int argc, char** argv) {
       if (!IsValidSpec(spec)) continue;
       const auto keys = GenerateKeys(spec);
       for (const std::string& label : labels) {
-        const VectorQueryExecution execution = ExecuteVectorQuery(
-            label, AggregateFunction::kMedian, keys.data(), values.data(),
-            keys.size(), records);
+        const VectorQueryExecution execution =
+            ExecuteRowQuery(label, row, keys.data(), nullptr, keys.size());
         const QueryStats& stats = execution.stats;
         std::printf("%s,%llu,%s,%llu,%.1f,%.1f\n", dataset_name.c_str(),
                     static_cast<unsigned long long>(cardinality),

@@ -31,6 +31,74 @@
 namespace memagg {
 namespace {
 
+// Registry traits: the bits of a row of kLabels below.
+constexpr unsigned kSerialOnly = 1;
+constexpr unsigned kTable3 = 2;
+constexpr unsigned kTable8 = 4;
+constexpr unsigned kRangeSearch = 8;
+constexpr unsigned kScalarMedian = 16;
+
+constexpr AlgorithmCategory kHash = AlgorithmCategory::kHash;
+constexpr AlgorithmCategory kTree = AlgorithmCategory::kTree;
+constexpr AlgorithmCategory kSort = AlgorithmCategory::kSort;
+
+constexpr LabelInfo Label(std::string_view name, AlgorithmCategory category,
+                          unsigned traits) {
+  return {name, category, (traits & kSerialOnly) != 0, (traits & kTable3) != 0,
+          (traits & kTable8) != 0, (traits & kRangeSearch) != 0,
+          (traits & kScalarMedian) != 0};
+}
+
+/// The label registry. Table 3 and Table 8 rows come first so that each
+/// table's labels appear in paper order.
+constexpr LabelInfo kLabels[] = {
+    // --- Paper Table 3 (serial) and Table 8 (concurrent) ---
+    Label("ART", kTree, kSerialOnly | kTable3 | kRangeSearch | kScalarMedian),
+    Label("Judy", kTree, kSerialOnly | kTable3 | kRangeSearch | kScalarMedian),
+    Label("Btree", kTree, kSerialOnly | kTable3 | kRangeSearch | kScalarMedian),
+    Label("Hash_SC", kHash, kSerialOnly | kTable3),
+    Label("Hash_LP", kHash, kSerialOnly | kTable3),
+    Label("Hash_Sparse", kHash, kSerialOnly | kTable3),
+    Label("Hash_Dense", kHash, kSerialOnly | kTable3),
+    Label("Hash_TBBSC", kHash, kTable8),
+    Label("Hash_LC", kHash, kTable3 | kTable8),
+    Label("Introsort", kSort, kSerialOnly | kTable3 | kScalarMedian),
+    Label("Spreadsort", kSort, kSerialOnly | kTable3 | kScalarMedian),
+    Label("Sort_BI", kSort, kTable8 | kScalarMedian),
+    Label("Sort_QSLB", kSort, kTable8 | kScalarMedian),
+    // --- The paper's sort microbenchmarks ---
+    Label("Quicksort", kSort, kSerialOnly | kScalarMedian),
+    Label("Sort_MSBRadix", kSort, kSerialOnly),
+    Label("Sort_LSBRadix", kSort, kSerialOnly),
+    Label("Sort_SS", kSort, 0),
+    Label("Sort_TBB", kSort, 0),
+    // --- Extensions beyond the paper ---
+    Label("Ttree", kTree, kSerialOnly | kRangeSearch | kScalarMedian),
+    Label("Hash_MPH", kHash, kSerialOnly),
+    Label("Hash_PLocal", kHash, 0),
+    Label("Hash_Striped", kHash, 0),
+    Label("Hash_PRadix", kHash, 0),
+    // Hybrid and Adaptive start out hashing.
+    Label("Hybrid", kHash, 0),
+    Label("Adaptive", kHash, 0),
+    // Allocator-ablation twins of Hash_SC and ART: identical structures,
+    // nodes from global operator new instead of the arena pool
+    // (docs/memory.md).
+    Label("Hash_SC_Global", kHash, kSerialOnly),
+    Label("ART_Global", kTree, kSerialOnly | kRangeSearch),
+};
+
+/// The names of the registry rows that satisfy `keep`, in registry order
+/// (allocated once and never freed, like every label list below).
+template <typename Keep>
+const std::vector<std::string>& NamesWhere(Keep keep) {
+  auto& names = *new std::vector<std::string>;
+  for (const LabelInfo& info : kLabels) {
+    if (keep(info)) names.emplace_back(info.name);
+  }
+  return names;
+}
+
 /// `expected_size` sizes the structures; `max_groups` (an upper bound on
 /// the groups, e.g. the row count) sizes those that cannot grow.
 template <MergeableAggregatePolicy Aggregate>
@@ -38,32 +106,28 @@ std::unique_ptr<VectorAggregator> MakeForAggregate(
     const std::string& label, size_t expected_size, size_t max_groups,
     const ExecutionContext& exec, const Aggregate& agg = {}) {
   const int num_threads = exec.num_threads;
+  const bool serial_only = LookupLabel(label).serial_only;
+  MEMAGG_CHECK((num_threads == 1 || !serial_only) &&
+               "a serial-only label needs num_threads == 1");
   // --- Hash-based (Table 3 / Table 8) ---
   if (label == "Hash_LP") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<LinearProbingMap, Aggregate>>(
         expected_size, agg);
   }
   if (label == "Hash_SC") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<ChainingMap, Aggregate>>(
         expected_size, agg);
   }
   if (label == "Hash_SC_Global") {
-    // Allocator-ablation twin of Hash_SC: identical chaining table, nodes
-    // from global operator new instead of the arena pool (docs/memory.md).
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<
         HashVectorAggregator<ChainingMapGlobalNew, Aggregate>>(expected_size,
                                                                agg);
   }
   if (label == "Hash_Sparse") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<SparseMap, Aggregate>>(
         expected_size, agg);
   }
   if (label == "Hash_Dense") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<HashVectorAggregator<DenseMap, Aggregate>>(
         expected_size, agg);
   }
@@ -110,58 +174,46 @@ std::unique_ptr<VectorAggregator> MakeForAggregate(
         expected_size, exec, agg);
   }
   if (label == "Hash_MPH") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<MphVectorAggregator<Aggregate>>(expected_size,
                                                             agg);
   }
 
   // --- Tree-based (Table 3) ---
   if (label == "ART") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<TreeVectorAggregator<ArtTree, Aggregate>>(agg);
   }
   if (label == "ART_Global") {
-    // Allocator-ablation twin of ART (see Hash_SC_Global above).
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<
         TreeVectorAggregator<ArtTreeGlobalNew, Aggregate>>(agg);
   }
   if (label == "Judy") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<TreeVectorAggregator<JudyArray, Aggregate>>(agg);
   }
   if (label == "Btree") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<TreeVectorAggregator<BTree, Aggregate>>(agg);
   }
   if (label == "Ttree") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<TreeVectorAggregator<TTree, Aggregate>>(agg);
   }
 
   // --- Sort-based (Table 3 / Table 8 / microbenchmarks) ---
   if (label == "Introsort") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<SortVectorAggregator<IntrosortSorter, Aggregate>>(
         IntrosortSorter{}, agg);
   }
   if (label == "Spreadsort") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<SortVectorAggregator<SpreadsortSorter, Aggregate>>(
         SpreadsortSorter{}, agg);
   }
   if (label == "Quicksort") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<SortVectorAggregator<QuicksortSorter, Aggregate>>(
         QuicksortSorter{}, agg);
   }
   if (label == "Sort_MSBRadix") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<SortVectorAggregator<MsbRadixSorter, Aggregate>>(
         MsbRadixSorter{}, agg);
   }
   if (label == "Sort_LSBRadix") {
-    MEMAGG_CHECK(num_threads == 1);
     return std::make_unique<SortVectorAggregator<LsbRadixSorter, Aggregate>>(
         LsbRadixSorter{}, agg);
   }
@@ -186,8 +238,7 @@ std::unique_ptr<VectorAggregator> MakeForAggregate(
         TaskQuicksortSorter{num_threads}, agg);
   }
 
-  std::fprintf(stderr, "Unknown algorithm label: %s\n", label.c_str());
-  MEMAGG_CHECK(false);
+  MEMAGG_CHECK(false && "a registered label has no construction");
   return nullptr;
 }
 
@@ -223,47 +274,47 @@ std::unique_ptr<VectorAggregator> MakeForFunction(
 
 }  // namespace
 
-AlgorithmCategory CategoryOfLabel(const std::string& label) {
-  if (label == "Hybrid") return AlgorithmCategory::kHash;  // Starts hashing.
-  if (label == "Adaptive") return AlgorithmCategory::kHash;  // Ditto.
-  if (label.rfind("Hash", 0) == 0) return AlgorithmCategory::kHash;
-  if (label == "ART" || label == "ART_Global" || label == "Judy" ||
-      label == "Btree" || label == "Ttree") {
-    return AlgorithmCategory::kTree;
+std::span<const LabelInfo> Labels() { return kLabels; }
+
+const LabelInfo& LookupLabel(std::string_view label) {
+  for (const LabelInfo& info : kLabels) {
+    if (info.name == label) return info;
   }
-  if (label == "Introsort" || label == "Spreadsort" || label == "Quicksort" ||
-      label.rfind("Sort_", 0) == 0) {
-    return AlgorithmCategory::kSort;
-  }
-  std::fprintf(stderr, "Unknown algorithm label: %s\n", label.c_str());
+  std::fprintf(stderr, "Unknown algorithm label: %.*s\n",
+               static_cast<int>(label.size()), label.data());
   MEMAGG_CHECK(false);
-  return AlgorithmCategory::kHash;
+  return kLabels[0];
+}
+
+AlgorithmCategory CategoryOfLabel(const std::string& label) {
+  return LookupLabel(label).category;
 }
 
 const std::vector<std::string>& SerialLabels() {
-  static const std::vector<std::string>& labels = *new std::vector<std::string>{
-      "ART",         "Judy",       "Btree",   "Hash_SC",   "Hash_LP",
-      "Hash_Sparse", "Hash_Dense", "Hash_LC", "Introsort", "Spreadsort"};
+  static const std::vector<std::string>& labels =
+      NamesWhere([](const LabelInfo& info) { return info.table3; });
   return labels;
 }
 
 const std::vector<std::string>& ConcurrentLabels() {
   static const std::vector<std::string>& labels =
-      *new std::vector<std::string>{"Hash_TBBSC", "Hash_LC", "Sort_BI",
-                                    "Sort_QSLB"};
+      NamesWhere([](const LabelInfo& info) { return info.table8; });
   return labels;
 }
 
 const std::vector<std::string>& TreeLabels() {
   static const std::vector<std::string>& labels =
-      *new std::vector<std::string>{"ART", "Judy", "Btree"};
+      NamesWhere([](const LabelInfo& info) {
+        return info.table3 && info.range_search;
+      });
   return labels;
 }
 
 const std::vector<std::string>& ScalarCapableLabels() {
   static const std::vector<std::string>& labels =
-      *new std::vector<std::string>{"ART", "Judy", "Btree", "Introsort",
-                                    "Spreadsort"};
+      NamesWhere([](const LabelInfo& info) {
+        return info.table3 && info.scalar_median;
+      });
   return labels;
 }
 
@@ -348,25 +399,13 @@ VectorQueryExecution RunQuery(const Make& make, const uint64_t* keys,
 
 }  // namespace
 
-VectorQueryExecution ExecuteVectorQuery(const std::string& label,
-                                        AggregateFunction function,
-                                        const uint64_t* keys,
-                                        const uint64_t* values, size_t n,
-                                        size_t expected_size,
-                                        ExecutionContext exec) {
-  return RunQuery(
-      [&](const ExecutionContext& ctx) {
-        return MakeVectorAggregator(label, function, expected_size, ctx);
-      },
-      keys, values, n, EstimateGroupCardinality(keys, n), 1, exec);
-}
-
 VectorQueryExecution ExecuteRowQuery(const std::string& label,
                                      const AggregateRow& row,
                                      const uint64_t* keys,
                                      const uint64_t* rows, size_t n,
                                      ExecutionContext exec) {
   MEMAGG_CHECK(row.num_outputs() > 0);
+  if (LookupLabel(label).serial_only) exec.num_threads = 1;
   // Growable structures start at the sampled estimate; the row count bounds
   // the groups for those that cannot grow.
   const size_t estimated = EstimateGroupCardinality(keys, n);
@@ -400,6 +439,11 @@ VectorQueryExecution ExecuteRowQuery(const std::string& label,
 
 std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
     const std::string& label, const ExecutionContext& exec) {
+  if (!LookupLabel(label).scalar_median) {
+    std::fprintf(stderr, "Label unsuitable for scalar median: %s\n",
+                 label.c_str());
+    MEMAGG_CHECK(false);
+  }
   const int num_threads = exec.num_threads;
   if (label == "ART") {
     return std::make_unique<TreeScalarMedianAggregator<ArtTree>>();
@@ -431,9 +475,7 @@ std::unique_ptr<ScalarAggregator> MakeScalarMedianAggregator(
         SortScalarMedianAggregator<ParallelQuicksortSorter>>(
         ParallelQuicksortSorter{num_threads});
   }
-  std::fprintf(stderr, "Label unsuitable for scalar median: %s\n",
-               label.c_str());
-  MEMAGG_CHECK(false);
+  MEMAGG_CHECK(false && "a scalar-median label has no construction");
   return nullptr;
 }
 

@@ -39,7 +39,7 @@ struct StatsConfig {
 };
 
 /// Execution phases. kBuild and kIterate are the end-to-end operator phases
-/// (recorded by the caller — ExecuteVectorQuery or a bench harness); the
+/// (recorded by the caller — ExecuteRowQuery or a bench harness); the
 /// others are operator-internal attribution *inside* those phases, recorded
 /// by the operator itself (a radix build's partitioning passes, a sort
 /// operator's sort kernel, a local-partition iterate's merge). Subphase

@@ -118,12 +118,9 @@ TEST(AdvisorTest, ExhaustiveInputSpaceReturnsKnownLabels) {
               if (out == OutputFormat::kScalar) {
                 EXPECT_NE(MakeScalarMedianAggregator(label, threads), nullptr);
               } else {
-                EXPECT_NE(MakeVectorAggregator(label,
-                                               AggregateFunction::kCount, 64,
-                                               CategoryOfLabel(label) ==
-                                                       AlgorithmCategory::kTree
-                                                   ? 1
-                                                   : threads),
+                EXPECT_NE(MakeVectorAggregator(
+                              label, AggregateFunction::kCount, 64,
+                              LookupLabel(label).serial_only ? 1 : threads),
                           nullptr);
               }
             }

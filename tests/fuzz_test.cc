@@ -44,13 +44,8 @@ RandomWorkload MakeWorkload(Rng& rng) {
 
 TEST(FuzzTest, AllLabelsAllFunctionsAgreeWithReference) {
   Rng rng(20260706);
-  std::vector<std::string> labels = SerialLabels();
-  labels.push_back("Ttree");
-  labels.push_back("Quicksort");
-  labels.push_back("Sort_MSBRadix");
-  labels.push_back("Sort_LSBRadix");
-  labels.push_back("Hybrid");
-  labels.push_back("Hash_MPH");
+  std::vector<std::string> labels;
+  for (const LabelInfo& info : Labels()) labels.emplace_back(info.name);
   constexpr int kRounds = 12;
   for (int round = 0; round < kRounds; ++round) {
     const RandomWorkload w = MakeWorkload(rng);
@@ -82,10 +77,10 @@ TEST(FuzzTest, AllLabelsAllFunctionsAgreeWithReference) {
 
 TEST(FuzzTest, ConcurrentLabelsAgreeWithReference) {
   Rng rng(777);
-  std::vector<std::string> labels = ConcurrentLabels();
-  labels.push_back("Hash_PLocal");
-  labels.push_back("Hash_Striped");
-  labels.push_back("Hash_PRadix");
+  std::vector<std::string> labels;
+  for (const LabelInfo& info : Labels()) {
+    if (!info.serial_only) labels.emplace_back(info.name);
+  }
   for (int round = 0; round < 6; ++round) {
     const RandomWorkload w = MakeWorkload(rng);
     const int threads = 1 + static_cast<int>(rng.NextBounded(8));

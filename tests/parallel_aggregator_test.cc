@@ -1,6 +1,6 @@
 // Tests for the multithreaded aggregation operators (paper Section 5.8 /
-// Table 8): Hash_TBBSC, Hash_LC, Sort_BI, Sort_QSLB across thread counts,
-// verified against the naive reference.
+// Table 8, plus every other label the registry runs at any thread count)
+// across thread counts, verified against the naive reference.
 
 #include <gtest/gtest.h>
 
@@ -70,14 +70,12 @@ TEST_P(ParallelAggregation, Q2VectorAverage) {
 }
 
 std::vector<Case> AllCases() {
+  // Every label that runs at any thread count: Table 8 plus the extensions.
   std::vector<Case> cases;
-  std::vector<std::string> labels = ConcurrentLabels();
-  labels.push_back("Hash_PLocal");  // Independent-tables extension.
-  labels.push_back("Hash_Striped");  // Lock-striping extension.
-  labels.push_back("Hash_PRadix");  // Radix-partitioning extension.
-  for (const std::string& label : labels) {
+  for (const LabelInfo& info : Labels()) {
+    if (info.serial_only) continue;
     for (int threads : {1, 2, 4, 8}) {
-      cases.push_back({label, threads});
+      cases.push_back({std::string(info.name), threads});
     }
   }
   return cases;

@@ -2,7 +2,7 @@
 // merge semantics, the per-worker registry, the RAII phase timer, JSON
 // serialization, and — end to end — that every engine-registered operator
 // reports non-zero phase timings plus at least one operator-specific
-// counter through ExecuteVectorQuery.
+// counter through ExecuteRowQuery.
 
 #include "obs/query_stats.h"
 
@@ -121,25 +121,43 @@ TEST(QueryStatsTest, ToJsonEmitsOnlyNonZeroFields) {
             std::string("{\"phases\":{},\"counters\":{}}"));
 }
 
-// --- End-to-end: every engine label reports through ExecuteVectorQuery ----
+// --- End-to-end: every engine label reports through ExecuteRowQuery -------
+
+/// COUNT(*) GROUP BY key through the engine's query path.
+VectorQueryExecution CountQuery(const std::string& label,
+                                const std::vector<uint64_t>& keys,
+                                int threads = 1) {
+  AggregateRow row;
+  row.Add(AggregateFunction::kCount, nullptr);
+  return ExecuteRowQuery(label, row, keys.data(), nullptr, keys.size(),
+                         ExecutionContext{threads});
+}
+
+/// COUNT(*) GROUP BY key built directly into a structure constructed at
+/// `expected_size`, with the operator's counters collected.
+QueryStats CountStatsAtSize(const std::string& label,
+                            const std::vector<uint64_t>& keys,
+                            size_t expected_size) {
+  auto aggregator =
+      MakeVectorAggregator(label, AggregateFunction::kCount, expected_size);
+  aggregator->Build(keys.data(), nullptr, keys.size());
+  aggregator->Iterate();
+  QueryStats stats;
+  aggregator->CollectStats(&stats);
+  return stats;
+}
 
 struct LabelCase {
   std::string label;
   int threads;
 };
 
+/// Every registered label at one thread, and at four where it can.
 std::vector<LabelCase> AllEngineCases() {
   std::vector<LabelCase> cases;
-  for (const std::string& label : SerialLabels()) cases.push_back({label, 1});
-  for (const char* label :
-       {"Ttree", "Quicksort", "Sort_MSBRadix", "Sort_LSBRadix", "Hash_MPH",
-        "Hybrid"}) {
-    cases.push_back({label, 1});
-  }
-  for (const char* label :
-       {"Hash_TBBSC", "Hash_LC", "Sort_BI", "Sort_QSLB", "Sort_SS",
-        "Sort_TBB", "Hybrid", "Hash_PLocal", "Hash_Striped", "Hash_PRadix"}) {
-    cases.push_back({label, 4});
+  for (const LabelInfo& info : Labels()) {
+    cases.push_back({std::string(info.name), 1});
+    if (!info.serial_only) cases.push_back({std::string(info.name), 4});
   }
   return cases;
 }
@@ -154,9 +172,7 @@ TEST(QueryStatsEndToEndTest, EveryOperatorReportsPhasesAndCounters) {
 
   for (const LabelCase& c : AllEngineCases()) {
     SCOPED_TRACE(c.label + " threads=" + std::to_string(c.threads));
-    VectorQueryExecution execution = ExecuteVectorQuery(
-        c.label, AggregateFunction::kCount, keys.data(), nullptr, keys.size(),
-        keys.size(), ExecutionContext{c.threads});
+    VectorQueryExecution execution = CountQuery(c.label, keys, c.threads);
     SortByKey(execution.result);
     EXPECT_EQ(execution.result, expected);
 
@@ -200,9 +216,7 @@ TEST(QueryStatsEndToEndTest, ProbeStatsReportedForOpenAddressing) {
   if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 20000, 1000, 132};
   const auto keys = GenerateKeys(spec);
-  const auto execution =
-      ExecuteVectorQuery("Hash_LP", AggregateFunction::kCount, keys.data(),
-                         nullptr, keys.size(), keys.size());
+  const auto execution = CountQuery("Hash_LP", keys);
   // Every resident entry probes at least once, so total >= entries >= max.
   EXPECT_EQ(execution.stats.Get(StatCounter::kHashEntries), 1000u);
   EXPECT_GE(execution.stats.Get(StatCounter::kProbeTotal), 1000u);
@@ -214,10 +228,8 @@ TEST(QueryStatsEndToEndTest, RehashCounterFiresWhenTableIsUndersized) {
   DatasetSpec spec{Distribution::kRseqShuffled, 20000, 10000, 133};
   const auto keys = GenerateKeys(spec);
   // expected_size=2 forces the linear-probing table to grow repeatedly.
-  const auto execution = ExecuteVectorQuery(
-      "Hash_LP", AggregateFunction::kCount, keys.data(), nullptr, keys.size(),
-      /*expected_size=*/2);
-  EXPECT_GT(execution.stats.Get(StatCounter::kRehashes), 0u);
+  const QueryStats stats = CountStatsAtSize("Hash_LP", keys, 2);
+  EXPECT_GT(stats.Get(StatCounter::kRehashes), 0u);
 }
 
 TEST(QueryStatsEndToEndTest, HybridSpillCounterFiresPastThreshold) {
@@ -225,9 +237,7 @@ TEST(QueryStatsEndToEndTest, HybridSpillCounterFiresPastThreshold) {
   // 50000 distinct groups exceed the hybrid's 44000-group hash budget.
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 50000, 134};
   const auto keys = GenerateKeys(spec);
-  const auto execution =
-      ExecuteVectorQuery("Hybrid", AggregateFunction::kCount, keys.data(),
-                         nullptr, keys.size(), keys.size());
+  const auto execution = CountQuery("Hybrid", keys);
   EXPECT_EQ(execution.stats.Get(StatCounter::kHybridSpills), 1u);
   EXPECT_GT(execution.stats.Get(StatCounter::kRowsSorted), 0u);
   EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kSort), 0u);
@@ -237,10 +247,7 @@ TEST(QueryStatsEndToEndTest, LocalPartitionReportsMergeAccounting) {
   if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 135};
   const auto keys = GenerateKeys(spec);
-  const auto execution =
-      ExecuteVectorQuery("Hash_PLocal", AggregateFunction::kCount, keys.data(),
-                         nullptr, keys.size(), keys.size(),
-                         ExecutionContext{4});
+  const auto execution = CountQuery("Hash_PLocal", keys, /*threads=*/4);
   EXPECT_EQ(execution.stats.Get(StatCounter::kPartitions), 4u);
   EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kMerge), 0u);
 }
@@ -249,10 +256,7 @@ TEST(QueryStatsEndToEndTest, RadixPartitionReportsPartitionPhase) {
   if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
   DatasetSpec spec{Distribution::kRseqShuffled, 100000, 500, 136};
   const auto keys = GenerateKeys(spec);
-  const auto execution =
-      ExecuteVectorQuery("Hash_PRadix", AggregateFunction::kCount, keys.data(),
-                         nullptr, keys.size(), keys.size(),
-                         ExecutionContext{4});
+  const auto execution = CountQuery("Hash_PRadix", keys, /*threads=*/4);
   EXPECT_EQ(execution.stats.Get(StatCounter::kPartitions), 4u);
   EXPECT_GT(execution.stats.PhaseCycles(StatPhase::kPartition), 0u);
   // The partition subphase is contained in build, never larger than it.
@@ -265,11 +269,9 @@ TEST(QueryStatsEndToEndTest, CuckooKicksSurfaceUnderChurn) {
   DatasetSpec spec{Distribution::kRseqShuffled, 50000, 20000, 137};
   const auto keys = GenerateKeys(spec);
   // An undersized cuckoo table must displace entries while growing.
-  const auto execution = ExecuteVectorQuery(
-      "Hash_LC", AggregateFunction::kCount, keys.data(), nullptr, keys.size(),
-      /*expected_size=*/16);
-  EXPECT_EQ(execution.stats.Get(StatCounter::kHashEntries), 20000u);
-  EXPECT_GT(execution.stats.Get(StatCounter::kCuckooKicks), 0u);
+  const QueryStats stats = CountStatsAtSize("Hash_LC", keys, 16);
+  EXPECT_EQ(stats.Get(StatCounter::kHashEntries), 20000u);
+  EXPECT_GT(stats.Get(StatCounter::kCuckooKicks), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include "core/engine.h"
 #include "core/query.h"
+#include "core/table_exec.h"
 #include "data/dataset.h"
+#include "data/table.h"
 #include "test_util.h"
 
 namespace memagg {
@@ -83,6 +85,34 @@ TEST(RangeSupportTest, HashOperatorsDeclineRange) {
   auto aggregator =
       MakeVectorAggregator("Hash_LP", AggregateFunction::kCount, 16);
   EXPECT_FALSE(aggregator->SupportsRange());
+}
+
+TEST(RangeQueryTest, Q7KeyRangeOverOneColumnTableRestrictsGroups) {
+  // Q7 as a table query: a key range on a one-column table routes to a tree
+  // (ART: no prebuilt index) and keeps only the groups inside the range.
+  DatasetSpec spec{Distribution::kRseqShuffled, 20000, 256, 401};
+  const auto keys = GenerateKeys(spec);
+  Table table;
+  table.AddColumn("k", Column::U64(keys));
+  TableQuery query;
+  query.group_by = {"k"};
+  query.aggregates = {{AggregateFunction::kCount, "", "n"}};
+  query.has_key_range = true;
+  query.key_range_lo = {ColumnType::kU64, 10, 0, {}};
+  query.key_range_hi = {ColumnType::kU64, 19, 0, {}};
+  const VectorResult expected =
+      ReferenceVectorAggregate(keys, {}, AggregateFunction::kCount, 10, 19);
+  ASSERT_EQ(expected.size(), 10u);
+  for (const int threads : {1, 4}) {
+    const TableQueryResult result =
+        ExecuteTableQuery(table, query, "auto", threads);
+    EXPECT_EQ(result.label, "ART") << threads;
+    ASSERT_EQ(result.group_keys.size(), expected.size()) << threads;
+    for (size_t g = 0; g < expected.size(); ++g) {
+      EXPECT_EQ(result.group_keys[g][0].u64, expected[g].key) << threads;
+      EXPECT_EQ(result.aggregate_columns[0][g], expected[g].value) << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -27,6 +27,15 @@ static_assert(ColumnarTable<Table>);
 static_assert(TableKeyCodec<PackedKeyCodec>);
 static_assert(TableKeyCodec<DictKeyCodec>);
 
+/// Every registered label that accepts `threads` workers.
+std::vector<std::string> LabelsFor(int threads) {
+  std::vector<std::string> labels;
+  for (const LabelInfo& info : Labels()) {
+    if (threads == 1 || !info.serial_only) labels.emplace_back(info.name);
+  }
+  return labels;
+}
+
 /// The TPC-H Q1 query shape over the lineitem generator's columns.
 TableQuery Q1Query() {
   TableQuery query;
@@ -97,9 +106,7 @@ TEST(TableExecTest, Q1MatchesReferenceAcrossAllSerialFamilies) {
 
 TEST(TableExecTest, Q1MatchesReferenceAcrossParallelFamilies) {
   const Table table = GenerateLineitem(20000, 2);
-  for (const char* label :
-       {"Hash_TBBSC", "Hash_LC", "Hash_PLocal", "Hash_Striped", "Hash_PRadix",
-        "Sort_BI", "Sort_QSLB", "Hybrid"}) {
+  for (const std::string& label : LabelsFor(4)) {
     const TableQueryResult result =
         ExecuteTableQuery(table, Q1Query(), label, /*num_threads=*/4);
     ExpectMatchesReference(table, result, label);
@@ -186,6 +193,24 @@ TEST(TableExecTest, AutoLabelRoutesThroughAdvisor) {
   ExpectMatchesReference(table, parallel, "auto/parallel");
 }
 
+TEST(TableExecTest, AutoKeyRangeRunsSerialTreeAtAnyThreadCount) {
+  // A range query routes to ART, which is serial-only: at 4 threads the
+  // query runs it on one worker instead of aborting.
+  const Table table = GenerateLineitem(5000, 4);
+  TableQuery query = Q1Query();
+  query.has_key_range = true;
+  query.key_range_lo = {ColumnType::kString, 0, 0, "N"};
+  query.key_range_hi = {ColumnType::kString, 0, 0, "R"};
+  const TableQueryResult serial = ExecuteTableQuery(table, query, "auto");
+  EXPECT_EQ(serial.label, "ART");
+  EXPECT_EQ(serial.group_keys.size(), 3u);  // N|F, N|O, R|F.
+  const TableQueryResult parallel =
+      ExecuteTableQuery(table, query, "auto", /*num_threads=*/4);
+  EXPECT_EQ(parallel.label, "ART");
+  EXPECT_EQ(parallel.group_keys, serial.group_keys);
+  EXPECT_EQ(parallel.aggregate_columns, serial.aggregate_columns);
+}
+
 TEST(TableExecTest, AutoLabelSeesKeyWidth) {
   // Holistic aggregate over a narrow key: byte-radix sort. Over a wide key:
   // the advisor flips to the comparison sort.
@@ -201,25 +226,13 @@ TEST(TableExecTest, AutoLabelSeesKeyWidth) {
   wide.AddColumn("k", Column::U64({1ULL << 40, 2, 3, 1}));
   wide.AddColumn("v", Column::U64({5, 6, 7, 8}));
   EXPECT_EQ(ExecuteTableQuery(wide, query, "auto").label, "Introsort");
-}
 
-/// Every registered label that accepts `threads` workers.
-std::vector<std::string> LabelsFor(int threads) {
-  std::vector<std::string> labels = {
-      "Hash_TBBSC", "Hash_LC",  "Hash_PLocal", "Hash_Striped", "Hash_PRadix",
-      "Hybrid",     "Adaptive", "Sort_BI",     "Sort_QSLB",    "Sort_SS",
-      "Sort_TBB"};
-  if (threads == 1) {
-    for (const std::string& label : SerialLabels()) {
-      if (label != "Hash_LC") labels.push_back(label);  // Listed above.
-    }
-    for (const char* label :
-         {"Hash_SC_Global", "Hash_MPH", "ART_Global", "Ttree", "Quicksort",
-          "Sort_MSBRadix", "Sort_LSBRadix"}) {
-      labels.push_back(label);
-    }
-  }
-  return labels;
+  // At 4 threads the holistic pick is the parallel sort, at any width.
+  const TableQueryResult parallel =
+      ExecuteTableQuery(narrow, query, "auto", /*num_threads=*/4);
+  EXPECT_EQ(parallel.label, "Sort_BI");
+  EXPECT_EQ(parallel.aggregate_columns[0],
+            (std::vector<double>{6.5, 6.0, 7.0}));
 }
 
 TEST(TableExecTest, EveryLabelBuildsOncePerQuery) {
