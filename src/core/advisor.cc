@@ -31,7 +31,13 @@ std::string RecommendAlgorithm(const WorkloadProfile& profile) {
     // scan cheap); otherwise ART, whose build time dominates (Section 5.6).
     return profile.prebuilt_index ? "Btree" : "ART";
   }
-  return profile.num_threads > 1 ? "Hash_TBBSC" : "Hash_LP";
+  // Multithreaded: per-worker tables merged once (Hash_PLocal), not the
+  // paper's shared concurrent table (Hash_TBBSC). With few groups every row
+  // of a shared table is a contended update on the same slots; thread-local
+  // pre-aggregation touches no shared state until the merge (arXiv
+  // 2411.13245 and 2010.00152 find the same; EXPERIMENTS.md has the
+  // end-to-end numbers).
+  return profile.num_threads > 1 ? "Hash_PLocal" : "Hash_LP";
 }
 
 WorkloadProfile ProfileForQuery(const Query& query, bool worm,
@@ -72,6 +78,9 @@ std::string ExplainRecommendation(const WorkloadProfile& profile) {
                                                 : " (index must be built)";
         } else {
           explanation += " -> hash-based";
+          if (profile.num_threads > 1) {
+            explanation += " (per-worker tables, merged once)";
+          }
         }
         break;
     }

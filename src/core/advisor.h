@@ -3,7 +3,11 @@
 // Given a workload profile (output format, write-once-read-once vs
 // write-once-read-many, aggregate category, range condition, prebuilt index,
 // thread count) the advisor returns the algorithm label the paper's
-// experiments found fastest for that situation.
+// experiments found fastest for that situation. One leaf departs from the
+// paper: multithreaded distributive/algebraic vector queries go to
+// Hash_PLocal (thread-local tables, then a merge) instead of Hash_TBBSC,
+// because this repo's end-to-end measurements found the shared table's
+// contended updates slowest (EXPERIMENTS.md, Figure 12).
 
 #ifndef MEMAGG_CORE_ADVISOR_H_
 #define MEMAGG_CORE_ADVISOR_H_

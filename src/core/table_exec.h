@@ -11,20 +11,24 @@
 //   TableQueryResult r = ExecuteTableQuery(table, q, "Hash_LP");
 //
 // Execution plan:
-//   1. optional row filter (filter_column <= filter_max) selects row ids;
-//   2. the group-by columns are packed into EncodedKeys by a KeyCodec —
-//      PackedKeyCodec when the composite fits 63 bits, DictKeyCodec
-//      otherwise (data/key_codec.h);
-//   3. an optional Q7-style range on the leading key column narrows the
-//      rows via the codec's contiguous encoded range (order-preserving
-//      codecs only — aborts loudly otherwise);
-//   4. the aggregates compile into one AggregateRow and ExecuteRowQuery
+//   1. a KeyCodec is planned for the group-by columns — PackedKeyCodec
+//      when the composite fits 63 bits, DictKeyCodec otherwise
+//      (data/key_codec.h);
+//   2. one fused pass per morsel selects the rows that pass the optional
+//      row filter (filter_column <= filter_max) and the optional Q7-style
+//      range on the leading key column (the codec's contiguous encoded
+//      range; order-preserving codecs only — aborts loudly otherwise), and
+//      packs their keys;
+//   3. the aggregates compile into one AggregateRow and ExecuteRowQuery
 //      builds it once over the shared key column, reading the measures in
 //      place through the selected rows (families, threading, and the
 //      adaptive operator all work unchanged — they never learn the key was
 //      composite);
-//   5. groups are put in canonical order (skipped when already there) and
+//   4. groups are put in canonical order (skipped when already there) and
 //      decoded back to column values.
+// Steps 1, 2 and 4 run on the query's ExecutionContext, morsel-parallel at
+// more than one thread, and record the kEncode, kFilter and kOrder phases
+// (obs/query_stats.h). A zero-row table gives an empty result.
 //
 // The label may be "auto": the advisor picks it from the query shape and
 // the codec's key width (core/advisor.h).

@@ -68,12 +68,31 @@ bool operator<(const KeyFieldValue& a, const KeyFieldValue& b) {
   return false;
 }
 
+ImageRange ScanImageRange(const Column& column, size_t begin, size_t end) {
+  ImageRange range;
+  if (column.type() == ColumnType::kU64) {
+    const uint64_t* values = column.u64().data();
+    for (size_t i = begin; i < end; ++i) {
+      range.lo = std::min(range.lo, values[i]);
+      range.hi = std::max(range.hi, values[i]);
+    }
+    return range;
+  }
+  MEMAGG_CHECK(column.type() == ColumnType::kI64 &&
+               "image ranges exist for integer columns only");
+  const int64_t* values = column.i64().data();
+  for (size_t i = begin; i < end; ++i) {
+    range.lo = std::min(range.lo, OrderedBits(values[i]));
+    range.hi = std::max(range.hi, OrderedBits(values[i]));
+  }
+  return range;
+}
+
 std::pair<std::vector<KeyFieldPlan>, int> PlanKeyFields(
-    const Table& table, const std::vector<std::string>& key_columns) {
+    const Table& table, const std::vector<std::string>& key_columns,
+    const ImageRangeScan& scan) {
   MEMAGG_CHECK(!key_columns.empty() &&
                "a group-by key needs at least one column");
-  MEMAGG_CHECK(table.num_rows() > 0 &&
-               "cannot plan key fields over an empty table");
   std::vector<KeyFieldPlan> plans;
   plans.reserve(key_columns.size());
   int total_bits = 0;
@@ -83,20 +102,20 @@ std::pair<std::vector<KeyFieldPlan>, int> PlanKeyFields(
     const Column& column = table.ColumnAt(plan.column);
     plan.type = column.type();
     switch (column.type()) {
-      case ColumnType::kU64: {
-        const auto& values = column.u64();
-        const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-        plan.bias = *lo;
-        plan.bits = WidthForRange(*hi - *lo);
-        break;
-      }
+      case ColumnType::kU64:
       case ColumnType::kI64: {
-        const auto& values = column.i64();
-        const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-        // Bias in the order-preserving unsigned image so subtraction never
-        // wraps across the sign boundary.
-        plan.bias = OrderedBits(*lo);
-        plan.bits = WidthForRange(OrderedBits(*hi) - OrderedBits(*lo));
+        // Integers are biased in the order-preserving unsigned image, so
+        // subtraction never wraps across the i64 sign boundary.
+        const ImageRange range = scan ? scan(column)
+                                      : ScanImageRange(column, 0,
+                                                       column.size());
+        if (range.empty()) {
+          plan.bias = 0;
+          plan.bits = 1;
+        } else {
+          plan.bias = range.lo;
+          plan.bits = WidthForRange(range.hi - range.lo);
+        }
         break;
       }
       case ColumnType::kString: {
@@ -131,8 +150,9 @@ PackedKeyCodec::PackedKeyCodec(const Table& table,
 }
 
 std::optional<PackedKeyCodec> PackedKeyCodec::TryBuild(
-    const Table& table, const std::vector<std::string>& key_columns) {
-  auto [plans, total_bits] = PlanKeyFields(table, key_columns);
+    const Table& table, const std::vector<std::string>& key_columns,
+    const ImageRangeScan& scan) {
+  auto [plans, total_bits] = PlanKeyFields(table, key_columns, scan);
   // Strictly below the engine width: a full 64-bit pack could produce
   // ~0ULL, which the open-addressing maps reserve as their empty-slot
   // sentinel (hash/hash_fn.h). Schemas needing 64+ bits take the dictionary
@@ -166,18 +186,66 @@ EncodedKey PackedKeyCodec::EncodeRow(size_t row) const {
   return key;
 }
 
+template <typename RowAt>
+void PackedKeyCodec::EncodeFields(RowAt row_at, size_t n,
+                                  EncodedKey* out) const {
+  std::fill_n(out, n, EncodedKey{0});
+  for (const KeyFieldPlan& plan : plans_) {
+    const Column& column = table_->ColumnAt(plan.column);
+    const int bits = plan.bits;
+    const uint64_t bias = plan.bias;
+    switch (plan.type) {
+      case ColumnType::kU64: {
+        const uint64_t* values = column.u64().data();
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = (out[i] << bits) | (values[row_at(i)] - bias);
+        }
+        break;
+      }
+      case ColumnType::kI64: {
+        const int64_t* values = column.i64().data();
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = (out[i] << bits) | (OrderedBits(values[row_at(i)]) - bias);
+        }
+        break;
+      }
+      case ColumnType::kString: {
+        const uint32_t* codes = column.codes().data();
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = (out[i] << bits) | codes[row_at(i)];
+        }
+        break;
+      }
+      case ColumnType::kF64:
+        MEMAGG_CHECK(false);
+    }
+  }
+}
+
+void PackedKeyCodec::EncodeRange(size_t begin, size_t end,
+                                 EncodedKey* out) const {
+  MEMAGG_CHECK(begin <= end && end <= table_->num_rows());
+  EncodeFields([begin](size_t i) { return begin + i; }, end - begin, out);
+}
+
+void PackedKeyCodec::EncodeRows(const uint64_t* rows, size_t n,
+                                EncodedKey* out) const {
+  EncodeFields([rows](size_t i) { return rows[i]; }, n, out);
+}
+
 std::vector<EncodedKey> PackedKeyCodec::EncodeAll() const {
   std::vector<EncodedKey> keys(table_->num_rows());
-  for (size_t row = 0; row < keys.size(); ++row) keys[row] = EncodeRow(row);
+  EncodeRange(0, keys.size(), keys.data());
   return keys;
 }
 
 std::vector<EncodedKey> PackedKeyCodec::EncodeRows(
     const std::vector<uint64_t>& row_indices) const {
-  std::vector<EncodedKey> keys(row_indices.size());
-  for (size_t i = 0; i < row_indices.size(); ++i) {
-    keys[i] = EncodeRow(row_indices[i]);
+  for (const uint64_t row : row_indices) {
+    MEMAGG_CHECK(row < table_->num_rows());
   }
+  std::vector<EncodedKey> keys(row_indices.size());
+  EncodeRows(row_indices.data(), row_indices.size(), keys.data());
   return keys;
 }
 
@@ -269,11 +337,24 @@ DictKeyCodec::DictKeyCodec(const Table& table, std::vector<KeyFieldPlan> plans,
 DictKeyCodec DictKeyCodec::Build(const Table& table,
                                  const std::vector<std::string>& key_columns,
                                  const std::vector<uint64_t>* row_indices) {
-  auto [plans, total_bits] = PlanKeyFields(table, key_columns);
+  if (row_indices == nullptr) {
+    return Build(table, key_columns, nullptr, table.num_rows());
+  }
+  for (const uint64_t row : *row_indices) {
+    MEMAGG_CHECK(row < table.num_rows());
+  }
+  return Build(table, key_columns, row_indices->data(), row_indices->size());
+}
+
+DictKeyCodec DictKeyCodec::Build(const Table& table,
+                                 const std::vector<std::string>& key_columns,
+                                 const uint64_t* rows, size_t n,
+                                 const ImageRangeScan& scan) {
+  auto [plans, total_bits] = PlanKeyFields(table, key_columns, scan);
   MEMAGG_CHECK(total_bits <= 2 * kEncodedKeyBits &&
                "group-by key schema packs wider than 128 bits");
   DictKeyCodec codec(table, std::move(plans), total_bits);
-  codec.EncodeRowsInternal(row_indices);
+  codec.EncodeRowsInternal(rows, n);
   return codec;
 }
 
@@ -281,13 +362,12 @@ int DictKeyCodec::width_bits() const {
   return WidthForRange(composites_.empty() ? 0 : composites_.size() - 1);
 }
 
-void DictKeyCodec::EncodeRowsInternal(
-    const std::vector<uint64_t>* row_indices) {
-  const size_t n =
-      row_indices == nullptr ? table_->num_rows() : row_indices->size();
+void DictKeyCodec::EncodeRowsInternal(const uint64_t* rows, size_t n) {
+  MEMAGG_CHECK((rows != nullptr || n <= table_->num_rows()) &&
+               "more rows than the table holds");
   encoded_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const size_t row = row_indices == nullptr ? i : (*row_indices)[i];
+    const size_t row = rows == nullptr ? i : rows[i];
     unsigned __int128 composite = 0;
     for (const KeyFieldPlan& plan : plans_) {
       uint64_t raw = 0;

@@ -39,8 +39,10 @@
 #ifndef MEMAGG_DATA_KEY_CODEC_H_
 #define MEMAGG_DATA_KEY_CODEC_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -84,13 +86,37 @@ struct KeyFieldPlan {
                            ///< bit pattern of the minimum for kI64).
 };
 
+/// Inclusive bounds of integer column values in their order-preserving
+/// unsigned image (u64 values as they are, i64 with the sign bit flipped).
+/// The default value is the empty range (lo > hi).
+struct ImageRange {
+  uint64_t lo = ~0ULL;
+  uint64_t hi = 0;
+
+  bool empty() const { return lo > hi; }
+  void Merge(const ImageRange& other) {
+    lo = std::min(lo, other.lo);
+    hi = std::max(hi, other.hi);
+  }
+};
+
+/// The image range of rows [begin, end) of a kU64 or kI64 column.
+ImageRange ScanImageRange(const Column& column, size_t begin, size_t end);
+
+/// How key planning obtains an integer key column's whole-column image
+/// range. An empty function scans serially with ScanImageRange; a caller
+/// holding workers can split the scan (core/table_exec.cc does, by morsel).
+using ImageRangeScan = std::function<ImageRange(const Column&)>;
+
 /// Computes the field plans for `key_columns` by scanning the table's
 /// column ranges: integers get bias = min and width = bit_width(max - min),
-/// strings get width = bit_width(dict size - 1). f64 key columns are
-/// rejected loudly (no total order worth packing under NaN). Returns the
-/// plans and the total packed width in bits.
+/// strings get width = bit_width(dict size - 1). An integer column of an
+/// empty table plans as bias 0, width 1. f64 key columns are rejected
+/// loudly (no total order worth packing under NaN). Returns the plans and
+/// the total packed width in bits.
 std::pair<std::vector<KeyFieldPlan>, int> PlanKeyFields(
-    const Table& table, const std::vector<std::string>& key_columns);
+    const Table& table, const std::vector<std::string>& key_columns,
+    const ImageRangeScan& scan = {});
 
 /// Order-preserving packed codec for schemas whose plan fits in 64 bits.
 class PackedKeyCodec {
@@ -99,7 +125,8 @@ class PackedKeyCodec {
   /// bits (use DictKeyCodec). The codec keeps a pointer to `table`; it must
   /// outlive the codec.
   static std::optional<PackedKeyCodec> TryBuild(
-      const Table& table, const std::vector<std::string>& key_columns);
+      const Table& table, const std::vector<std::string>& key_columns,
+      const ImageRangeScan& scan = {});
 
   size_t num_fields() const { return plans_.size(); }
   int width_bits() const { return width_bits_; }
@@ -113,6 +140,14 @@ class PackedKeyCodec {
   std::vector<EncodedKey> EncodeAll() const;
   std::vector<EncodedKey> EncodeRows(
       const std::vector<uint64_t>& row_indices) const;
+
+  /// Packs rows [begin, end) into out[0, end - begin), one field at a time
+  /// (each field's loop is a straight pass over one column).
+  void EncodeRange(size_t begin, size_t end, EncodedKey* out) const;
+
+  /// Packs rows rows[0..n) into out[0..n), one field at a time. Every row
+  /// must be below the table's row count.
+  void EncodeRows(const uint64_t* rows, size_t n, EncodedKey* out) const;
 
   /// Packs one row.
   EncodedKey EncodeRow(size_t row) const;
@@ -135,6 +170,10 @@ class PackedKeyCodec {
 
   uint64_t FieldRaw(const KeyFieldPlan& plan, size_t row) const;
 
+  /// out[i] = key of row row_at(i), for i in [0, n).
+  template <typename RowAt>
+  void EncodeFields(RowAt row_at, size_t n, EncodedKey* out) const;
+
   const Table* table_;
   std::vector<KeyFieldPlan> plans_;
   int width_bits_;
@@ -154,6 +193,13 @@ class DictKeyCodec {
   static DictKeyCodec Build(const Table& table,
                             const std::vector<std::string>& key_columns,
                             const std::vector<uint64_t>* row_indices = nullptr);
+
+  /// The same over `n` rows: rows[0..n), or rows [0, n) when `rows` is
+  /// null. `scan` is handed to PlanKeyFields.
+  static DictKeyCodec Build(const Table& table,
+                            const std::vector<std::string>& key_columns,
+                            const uint64_t* rows, size_t n,
+                            const ImageRangeScan& scan = {});
 
   size_t num_fields() const { return plans_.size(); }
 
@@ -181,7 +227,7 @@ class DictKeyCodec {
   DictKeyCodec(const Table& table, std::vector<KeyFieldPlan> plans,
                int composite_bits);
 
-  void EncodeRowsInternal(const std::vector<uint64_t>* row_indices);
+  void EncodeRowsInternal(const uint64_t* rows, size_t n);
 
   struct CompositeHash {
     size_t operator()(unsigned __int128 v) const {

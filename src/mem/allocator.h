@@ -70,7 +70,7 @@ struct GlobalNewAllocator {
     delete ptr;
   }
 
-  void* AllocateBytes(size_t bytes, size_t align) {
+  void* AllocateBytes(size_t bytes, [[maybe_unused]] size_t align) {
     MEMAGG_DCHECK(align <= alignof(std::max_align_t));
     return ::operator new(bytes);
   }

@@ -7,7 +7,8 @@ namespace memagg {
 namespace {
 
 constexpr const char* kPhaseNames[kNumStatPhases] = {
-    "partition", "build", "sort", "iterate", "merge"};
+    "partition", "build", "sort",   "iterate",
+    "merge",     "filter", "encode", "order"};
 
 constexpr const char* kCounterNames[kNumStatCounters] = {
     "rows_built",    "groups_out",    "hash_entries",   "rehashes",

@@ -39,20 +39,30 @@ struct StatsConfig {
 };
 
 /// Execution phases. kBuild and kIterate are the end-to-end operator phases
-/// (recorded by the caller — ExecuteRowQuery or a bench harness); the
-/// others are operator-internal attribution *inside* those phases, recorded
-/// by the operator itself (a radix build's partitioning passes, a sort
-/// operator's sort kernel, a local-partition iterate's merge). Subphase
+/// (recorded by the caller — ExecuteRowQuery or a bench harness); kPartition,
+/// kSort and kMerge are operator-internal attribution *inside* those phases,
+/// recorded by the operator itself (a radix build's partitioning passes, a
+/// sort operator's sort kernel, a local-partition iterate's merge). Subphase
 /// time is therefore contained in — not additive with — its enclosing
 /// phase, and TotalCycles()/TotalMillis() sum only kBuild + kIterate.
+///
+/// kFilter, kEncode and kOrder are the table layer's phases around the
+/// operator (recorded once each by ExecuteTableQuery, core/table_exec.h).
+/// They do not overlap kBuild or kIterate, so a table query's layers are
+/// kFilter + kEncode + kBuild + kIterate + kOrder.
 enum class StatPhase : size_t {
   kPartition = 0,  ///< Subphase: histogram + scatter passes.
   kBuild,          ///< Phase: consuming input into the data structure.
   kSort,           ///< Subphase: the sort kernel.
   kIterate,        ///< Phase: emitting result rows.
   kMerge,          ///< Subphase: combining per-worker partial states.
+  kFilter,         ///< Table phase: counting each morsel's selected rows
+                   ///< (a one-worker query selects inside kEncode).
+  kEncode,         ///< Table phase: key planning, then selecting rows and
+                   ///< packing their group keys.
+  kOrder,          ///< Table phase: canonical group order and decode.
 };
-inline constexpr size_t kNumStatPhases = 5;
+inline constexpr size_t kNumStatPhases = 8;
 
 /// Monotonic counters. kMaxMerged counters merge by max, the rest by sum.
 enum class StatCounter : size_t {

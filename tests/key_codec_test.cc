@@ -45,6 +45,63 @@ TEST(PlanKeyFieldsTest, BiasAndWidthFromColumnRanges) {
   EXPECT_EQ(total_bits, 4);
 }
 
+TEST(PlanKeyFieldsTest, EmptyTablePlansEveryFieldOneBitWide) {
+  Table table;
+  table.AddColumn("u", Column::U64({}));
+  table.AddColumn("s", Column::I64({}));
+  const auto [plans, total_bits] = PlanKeyFields(table, {"u", "s"});
+  ASSERT_EQ(plans.size(), 2u);
+  EXPECT_EQ(plans[0].bias, 0u);
+  EXPECT_EQ(plans[0].bits, 1);
+  EXPECT_EQ(plans[1].bits, 1);
+  EXPECT_EQ(total_bits, 2);
+  const auto codec = PackedKeyCodec::TryBuild(table, {"u", "s"});
+  ASSERT_TRUE(codec.has_value());
+  EXPECT_TRUE(codec->EncodeAll().empty());
+}
+
+TEST(PlanKeyFieldsTest, SplitScanPlansLikeTheSerialScan) {
+  // A scan that merges per-slice ranges, as the table layer's
+  // morsel-parallel scan does, plans the same fields.
+  Table table;
+  table.AddColumn("u", Column::U64({40, 7, 90, 12, 55}));
+  table.AddColumn("s", Column::I64({-9, 4, -30, 8, 0}));
+  size_t scans = 0;
+  const ImageRangeScan split = [&scans](const Column& column) {
+    ++scans;
+    ImageRange range = ScanImageRange(column, 0, 2);
+    range.Merge(ScanImageRange(column, 2, column.size()));
+    return range;
+  };
+  const auto serial = PlanKeyFields(table, {"u", "s"});
+  const auto sliced = PlanKeyFields(table, {"u", "s"}, split);
+  EXPECT_EQ(scans, 2u);
+  ASSERT_EQ(serial.first.size(), sliced.first.size());
+  for (size_t f = 0; f < serial.first.size(); ++f) {
+    EXPECT_EQ(serial.first[f].bias, sliced.first[f].bias);
+    EXPECT_EQ(serial.first[f].bits, sliced.first[f].bits);
+  }
+  EXPECT_EQ(serial.first[0].bias, 7u);
+  EXPECT_TRUE(ImageRange{}.empty());
+}
+
+TEST(PackedKeyCodecTest, BatchEncodesMatchEncodeRow) {
+  Table table;
+  table.AddColumn("u", Column::U64({40, 7, 90, 12, 55}));
+  table.AddColumn("s", Column::I64({-9, 4, -30, 8, 0}));
+  const auto codec = PackedKeyCodec::TryBuild(table, {"s", "u"});
+  ASSERT_TRUE(codec.has_value());
+  std::vector<EncodedKey> range(3);
+  codec->EncodeRange(1, 4, range.data());
+  const std::vector<uint64_t> rows = {4, 0, 2};
+  std::vector<EncodedKey> picked(rows.size());
+  codec->EncodeRows(rows.data(), rows.size(), picked.data());
+  for (size_t i = 0; i < range.size(); ++i) {
+    EXPECT_EQ(range[i], codec->EncodeRow(1 + i));
+    EXPECT_EQ(picked[i], codec->EncodeRow(rows[i]));
+  }
+}
+
 TEST(PackedKeyCodecTest, RoundTripsAndPreservesOrder) {
   const Table table = TwoColumnTable();
   const auto codec = PackedKeyCodec::TryBuild(table, {"flag", "bucket"});

@@ -66,6 +66,34 @@ TEST(QueryStatsTest, TotalCountsOnlyBuildAndIterate) {
   EXPECT_DOUBLE_EQ(stats.TotalMillis(), 1.5);
 }
 
+TEST(QueryStatsTest, EveryPhaseHasItsOwnName) {
+  std::vector<std::string> names;
+  for (size_t p = 0; p < kNumStatPhases; ++p) {
+    const char* name = StatPhaseName(static_cast<StatPhase>(p));
+    ASSERT_NE(name, nullptr) << "phase " << p;
+    names.emplace_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"partition", "build", "sort",
+                                             "iterate", "merge", "filter",
+                                             "encode", "order"}));
+}
+
+TEST(QueryStatsTest, TablePhasesStayOutOfTheOperatorTotal) {
+  // The table layer's phases run before and after the operator, so the
+  // operator total (build + iterate) excludes them.
+  QueryStats stats;
+  stats.AddPhase(StatPhase::kBuild, 100, 1.0);
+  stats.AddPhase(StatPhase::kIterate, 50, 0.5);
+  stats.AddPhase(StatPhase::kFilter, 7, 0.07);
+  stats.AddPhase(StatPhase::kEncode, 20, 0.2);
+  stats.AddPhase(StatPhase::kOrder, 9, 0.09);
+  EXPECT_EQ(stats.TotalCycles(), 150u);
+  const std::string json = stats.ToJson();
+  EXPECT_NE(json.find("\"filter\":{\"cycles\":7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"encode\":{\"cycles\":20"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"order\":{\"cycles\":9"), std::string::npos) << json;
+}
+
 TEST(QueryStatsTest, PhaseTimerRecordsOnceEvenIfStoppedTwice) {
   QueryStats stats;
   {

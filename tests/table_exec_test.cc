@@ -187,9 +187,11 @@ TEST(TableExecTest, AutoLabelRoutesThroughAdvisor) {
   EXPECT_EQ(serial.label, "Hash_LP");
   ExpectMatchesReference(table, serial, "auto/serial");
 
+  // At more than one thread: per-worker tables merged once (Hash_PLocal),
+  // not the shared concurrent table of the paper's Figure 12.
   const TableQueryResult parallel =
       ExecuteTableQuery(table, query, "auto", /*num_threads=*/4);
-  EXPECT_EQ(parallel.label, "Hash_TBBSC");
+  EXPECT_EQ(parallel.label, "Hash_PLocal");
   ExpectMatchesReference(table, parallel, "auto/parallel");
 }
 
@@ -362,6 +364,203 @@ TEST(TableExecTest, FilterKeepingNoRowsYieldsEmptyResult) {
         EXPECT_TRUE(column.empty()) << context;
       }
     }
+  }
+}
+
+TEST(TableExecTest, ZeroRowTablesYieldEmptyResults) {
+  Table one_column;
+  one_column.AddColumn("k", Column::U64({}));
+  TableQuery count;
+  count.group_by = {"k"};
+  count.aggregates = {{AggregateFunction::kCount, "", "n"}};
+
+  // A zero-row table with the lineitem schema and dictionaries.
+  const Table lineitem = GenerateLineitem(1, 10);
+  Table q1;
+  for (size_t c = 0; c < lineitem.num_columns(); ++c) {
+    const Column& column = lineitem.ColumnAt(c);
+    ASSERT_TRUE(column.type() == ColumnType::kString ||
+                column.type() == ColumnType::kU64);
+    q1.AddColumn(lineitem.ColumnNameAt(c),
+                 column.type() == ColumnType::kString
+                     ? Column::String(column.dict(), {})
+                     : Column::U64({}));
+  }
+
+  for (const int threads : {1, 4}) {
+    for (const std::string label :
+         {"Hash_LP", "ART", "Spreadsort", "auto", "Hash_PLocal"}) {
+      const std::string context = label + "@" + std::to_string(threads);
+      const TableQueryResult empty_count =
+          ExecuteTableQuery(one_column, count, label, threads);
+      EXPECT_EQ(empty_count.rows_scanned, 0u) << context;
+      EXPECT_TRUE(empty_count.group_keys.empty()) << context;
+      ASSERT_EQ(empty_count.aggregate_columns.size(), 1u) << context;
+      EXPECT_TRUE(empty_count.aggregate_columns[0].empty()) << context;
+
+      const TableQueryResult empty_q1 =
+          ExecuteTableQuery(q1, Q1Query(), label, threads);
+      EXPECT_EQ(empty_q1.rows_scanned, 0u) << context;
+      EXPECT_TRUE(empty_q1.group_keys.empty()) << context;
+      ASSERT_EQ(empty_q1.aggregate_columns.size(), 4u) << context;
+      for (const std::vector<double>& column : empty_q1.aggregate_columns) {
+        EXPECT_TRUE(column.empty()) << context;
+      }
+    }
+  }
+}
+
+TEST(TableExecTest, ParallelPrologueMatchesSerial) {
+  // Tiny morsels make the 4-thread prologue (count pass, per-morsel slices,
+  // parallel key-range scan, parallel decode) split every phase many ways;
+  // its output must equal the one-worker single pass byte for byte.
+  const Table lineitem = GenerateLineitem(6000, 11);
+  TableQuery q1_range = Q1Query();
+  q1_range.has_key_range = true;
+  q1_range.key_range_lo = {ColumnType::kString, 0, 0, "N"};
+  q1_range.key_range_hi = {ColumnType::kString, 0, 0, "R"};
+
+  // Wide composite (DictKeyCodec) with a filter, and a plain u64 key with
+  // thousands of groups over a wide value range.
+  const size_t rows = 6000;
+  std::vector<uint64_t> wide(rows), more(rows), key(rows), v(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    wide[i] = i % 3 == 0 ? ~0ULL - i % 7 : i % 5;
+    more[i] = (i * 31) % 11;
+    key[i] = ((i * 7919) % 2003) * 1000003 + 17;
+    v[i] = (i * 104729) % 997;
+  }
+  Table numeric;
+  numeric.AddColumn("wide", Column::U64(wide));
+  numeric.AddColumn("more", Column::U64(more));
+  numeric.AddColumn("k", Column::U64(key));
+  numeric.AddColumn("v", Column::U64(v));
+  TableQuery dict;
+  dict.group_by = {"wide", "more"};
+  dict.aggregates = {{AggregateFunction::kSum, "v", "sum_v"},
+                     {AggregateFunction::kCount, "", "n"}};
+  dict.has_filter = true;
+  dict.filter_column = "v";
+  dict.filter_max = 800;
+  TableQuery u64_key;
+  u64_key.group_by = {"k"};
+  u64_key.aggregates = {{AggregateFunction::kSum, "v", "sum_v"},
+                        {AggregateFunction::kMin, "v", "min_v"},
+                        {AggregateFunction::kMax, "v", "max_v"}};
+
+  const std::vector<std::pair<const Table*, TableQuery>> cases = {
+      {&lineitem, Q1Query()},
+      {&lineitem, q1_range},
+      {&numeric, dict},
+      {&numeric, u64_key}};
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto& [table, query] = cases[c];
+    for (const std::string label : {"Hash_LP", "Hash_PLocal", "Sort_BI"}) {
+      const std::string context = "case " + std::to_string(c) + " " + label;
+      ExecutionContext serial(1);
+      serial.morsel_rows = 64;
+      ExecutionContext parallel(4);
+      parallel.morsel_rows = 64;
+      const TableQueryResult one =
+          ExecuteTableQuery(*table, query, label, serial);
+      const TableQueryResult four =
+          ExecuteTableQuery(*table, query, label, parallel);
+      EXPECT_GT(one.rows_scanned, 0u) << context;
+      EXPECT_EQ(one.rows_scanned, four.rows_scanned) << context;
+      EXPECT_EQ(one.group_keys, four.group_keys) << context;
+      EXPECT_EQ(one.aggregate_columns, four.aggregate_columns) << context;
+    }
+  }
+  // The first two cases are also right, not only consistent.
+  ExpectMatchesReference(lineitem,
+                         ExecuteTableQuery(lineitem, Q1Query(), "Hash_PLocal",
+                                           ExecutionContext(4)),
+                         "Q1@4");
+}
+
+TEST(TableExecTest, OutOfOrderEmitterComesOutSorted) {
+  // 20000 shuffled groups: a hash table emits them in slot order, and the
+  // table layer must sort them (BlockIndirectSorter past 16K records at 4
+  // threads, SpreadsortSorter at one).
+  const size_t groups = 20000;
+  const size_t rows = 3 * groups;
+  std::vector<uint64_t> keys(rows), v(rows);
+  std::map<uint64_t, std::pair<uint64_t, uint64_t>> oracle;  // sum, count.
+  for (size_t i = 0; i < rows; ++i) {
+    keys[i] = ((i * 7919) % groups) * 977 + 5;
+    v[i] = (i * 31) % 1009;
+    oracle[keys[i]].first += v[i];
+    oracle[keys[i]].second += 1;
+  }
+  Table table;
+  table.AddColumn("k", Column::U64(keys));
+  table.AddColumn("v", Column::U64(v));
+  TableQuery query;
+  query.group_by = {"k"};
+  query.aggregates = {{AggregateFunction::kSum, "v", "sum_v"},
+                      {AggregateFunction::kCount, "", "n"}};
+
+  for (const auto& [label, threads] :
+       std::vector<std::pair<std::string, int>>{{"Hash_LP", 1},
+                                                {"Hash_LP", 4},
+                                                {"Hash_PLocal", 4}}) {
+    const std::string context = label + "@" + std::to_string(threads);
+    // The operator itself emits out of order.
+    AggregateRow row;
+    row.Add(AggregateFunction::kCount, nullptr);
+    const VectorQueryExecution raw =
+        ExecuteRowQuery(label, row, keys.data(), nullptr, rows, threads);
+    EXPECT_FALSE(std::is_sorted(raw.result.begin(), raw.result.end(),
+                                [](const GroupResult& a,
+                                   const GroupResult& b) {
+                                  return a.key < b.key;
+                                }))
+        << context;
+
+    const TableQueryResult result =
+        ExecuteTableQuery(table, query, label, threads);
+    ASSERT_EQ(result.group_keys.size(), oracle.size()) << context;
+    size_t g = 0;
+    for (const auto& [key, sums] : oracle) {
+      ASSERT_EQ(result.group_keys[g][0].u64, key) << context << " row " << g;
+      EXPECT_EQ(result.aggregate_columns[0][g],
+                static_cast<double>(sums.first))
+          << context;
+      EXPECT_EQ(result.aggregate_columns[1][g],
+                static_cast<double>(sums.second))
+          << context;
+      ++g;
+    }
+    EXPECT_TRUE(std::adjacent_find(result.group_keys.begin(),
+                                   result.group_keys.end(),
+                                   [](const DecodedKey& a,
+                                      const DecodedKey& b) {
+                                     return !(a[0].u64 < b[0].u64);
+                                   }) == result.group_keys.end())
+        << context;
+  }
+}
+
+TEST(TableExecTest, TableLayerPhasesAreRecorded) {
+  if (!StatsConfig::kEnabled) GTEST_SKIP() << "stats compiled out";
+  const Table table = GenerateLineitem(50000, 12);
+  for (const int threads : {1, 4}) {
+    const TableQueryResult result =
+        ExecuteTableQuery(table, Q1Query(), "Hash_PLocal", threads);
+    const std::string context = "@" + std::to_string(threads);
+    EXPECT_GT(result.stats.PhaseCycles(StatPhase::kEncode), 0u) << context;
+    EXPECT_GT(result.stats.PhaseCycles(StatPhase::kOrder), 0u) << context;
+    // Only a split prologue has a separate count pass.
+    if (threads == 1) {
+      EXPECT_EQ(result.stats.PhaseCycles(StatPhase::kFilter), 0u) << context;
+    } else {
+      EXPECT_GT(result.stats.PhaseCycles(StatPhase::kFilter), 0u) << context;
+    }
+    // The table phases sit outside the operator's: the total is unchanged.
+    EXPECT_EQ(result.stats.TotalCycles(),
+              result.stats.PhaseCycles(StatPhase::kBuild) +
+                  result.stats.PhaseCycles(StatPhase::kIterate))
+        << context;
   }
 }
 
